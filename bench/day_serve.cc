@@ -8,8 +8,10 @@
 // each batch into attachment-point records, and one persistent
 // SolveSession absorbs the whole day of warm power-sym re-solves.  The
 // table reports scenarios/sec, p50/p99 tick latency, the peak resident
-// session bytes over the day, and the end-of-day packed/unpacked ratio —
-// the resident-byte reduction the narrow-cell + dead-run encodings buy.
+// session bytes over the day, the end-of-day packed/unpacked ratio —
+// the resident-byte reduction the narrow-cell + dead-run encodings buy —
+// and the warm ticks' mean phase split (plan, join, root, reconstruct,
+// evaluate; PowerPhaseSeconds).
 //
 // Two hard gates run in-bench (non-zero exit on failure):
 //   * the small `verify` configuration re-solves every tick cold on the
@@ -19,7 +21,8 @@
 //
 // The JSON written for the CI bench-diff gate contains only deterministic
 // columns (delta counts, DP work, lazy-join splice counters, the gate
-// flags); throughput, latency and byte columns stay in the CSV/stdout.
+// flags); throughput, latency, phase and byte columns stay in the
+// CSV/stdout.
 // Knobs: TREEPLACE_DAY_USERS / TREEPLACE_DAY_TICKS / TREEPLACE_DAY_INTERNAL
 // override the big configuration, --out DIR / TREEPLACE_BENCH_DIR route
 // file output.
@@ -71,6 +74,7 @@ struct DayResult {
   double warm_seconds = 0.0;  ///< sum over all ticks
   double p50_ms = 0.0;
   double p99_ms = 0.0;
+  PowerPhaseSeconds phases;  ///< summed over the day's warm ticks
   std::size_t peak_bytes = 0;      ///< max resident over the day (unpacked)
   std::size_t unpacked_bytes = 0;  ///< end-of-day, before compact()
   std::size_t packed_bytes = 0;    ///< end-of-day, after compact()
@@ -132,6 +136,7 @@ DayResult run_day(const DayConfig& config) {
   }
   const std::uint64_t primed_work = primed.stats.work;
   const std::uint64_t skipped_base = session.stats().cells_skipped;
+  const PowerPhaseSeconds phases_base = session.stats().phases;
 
   DiurnalConfig diurnal;
   diurnal.touch_fraction = config.touch_fraction;
@@ -172,6 +177,12 @@ DayResult run_day(const DayConfig& config) {
   }
   r.warm_work += primed_work;  // the chain includes its priming solve
   r.cells_skipped = session.stats().cells_skipped - skipped_base;
+  r.phases = session.stats().phases;
+  r.phases.plan -= phases_base.plan;
+  r.phases.join -= phases_base.join;
+  r.phases.root -= phases_base.root;
+  r.phases.reconstruct -= phases_base.reconstruct;
+  r.phases.evaluate -= phases_base.evaluate;
   r.p50_ms = percentile_ms(latencies, 0.50);
   r.p99_ms = percentile_ms(latencies, 0.99);
   r.unpacked_bytes = session.resident_bytes();
@@ -195,13 +206,19 @@ void add_result(Table& table, Table& gate, const DayConfig& config,
                          : 0.0;
   const std::string identical = r.identical ? "yes" : "NO";
   const std::string pack_ok = r.pack_ok ? "yes" : "NO";
+  // Phase columns: mean wall milliseconds per warm tick.
+  const double per_tick =
+      config.ticks > 0 ? 1e3 / static_cast<double>(config.ticks) : 0.0;
   table.add_row({config.label, static_cast<std::int64_t>(config.num_users),
                  static_cast<std::int64_t>(config.ticks),
                  static_cast<std::int64_t>(r.user_deltas),
                  static_cast<std::int64_t>(r.agg_deltas),
                  static_cast<std::int64_t>(r.warm_work),
                  static_cast<std::int64_t>(r.cells_skipped), scen_per_sec,
-                 r.p50_ms, r.p99_ms,
+                 r.p50_ms, r.p99_ms, r.phases.plan * per_tick,
+                 r.phases.join * per_tick, r.phases.root * per_tick,
+                 r.phases.reconstruct * per_tick,
+                 r.phases.evaluate * per_tick,
                  static_cast<double>(r.peak_bytes) / 1048576.0,
                  static_cast<double>(r.packed_bytes) / 1048576.0, ratio,
                  static_cast<std::int64_t>(r.subtrees_sealed), identical,
@@ -260,7 +277,8 @@ int main(int argc, char** argv) {
 
   Table table({"config", "users", "ticks", "user_deltas", "agg_deltas",
                "warm_work", "cells_skipped", "scen_per_sec", "p50_ms",
-               "p99_ms", "peak_mb", "packed_mb", "pack_ratio",
+               "p99_ms", "plan_ms", "join_ms", "root_ms", "recon_ms",
+               "eval_ms", "peak_mb", "packed_mb", "pack_ratio",
                "subtrees_sealed", "identical", "pack_ok"});
   table.set_title("Simulated day over a warm serving session");
   Table gate({"config", "users", "ticks", "user_deltas", "agg_deltas",

@@ -14,7 +14,9 @@
 //
 // The JSON written for the CI bench-diff gate contains only deterministic
 // columns (work counters, node reuse counts, identity flags); timings stay
-// in the CSV/stdout.  Knobs: TREEPLACE_WARM_STEPS overrides the steps per
+// in the CSV/stdout, including the warm solves' phase split (plan, join,
+// root, reconstruct, evaluate — summed PowerPhaseSeconds, power engines
+// only).  Knobs: TREEPLACE_WARM_STEPS overrides the steps per
 // configuration, --out DIR / TREEPLACE_BENCH_DIR route file output.
 #include <memory>
 #include <string>
@@ -41,6 +43,10 @@ struct Config {
   /// the balanced merge tree cuts a single-client redo from O(k) chain
   /// merges to O(log k) slots.
   int star_fanout = 0;
+  /// Near-tie pricing: modes {4, 8} at power W and changed_same ==
+  /// changed_diff, so distinct count vectors share real costs and powers
+  /// and only the tie-breaks pick the witness placements.
+  bool near_tie = false;
 };
 
 struct DeltaSize {
@@ -75,6 +81,11 @@ Instance make_instance(const Config& config, const Tree& tree) {
   if (config.single_mode) {
     return Instance::single_mode(tree.topology_ptr(), tree.scenario(), 10,
                                  0.1, 0.01);
+  }
+  if (config.near_tie) {
+    return Instance{tree.topology_ptr(), tree.scenario(),
+                    ModeSet({4, 8}, 0.0, 1.0),
+                    CostModel::uniform(2, 0.7, 0.3, 0.1, 0.1), std::nullopt};
   }
   const ModeSet modes({5, 10}, 12.5, 3.0);
   const CostModel costs = CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001);
@@ -116,6 +127,7 @@ struct ChainResult {
   std::uint64_t cells_skipped = 0;
   double cold_seconds = 0.0;
   double warm_seconds = 0.0;
+  PowerPhaseSeconds warm_phases;  ///< summed over the chain's warm solves
   bool identical = true;
   std::string divergence;  ///< first diverging step/field when !identical
 };
@@ -171,6 +183,12 @@ ChainResult run_chain(const Config& config, const DeltaSize& delta,
   r.nodes_recomputed = stats.nodes_recomputed - primed.nodes_recomputed;
   r.nodes_reused = stats.nodes_reused - primed.nodes_reused;
   r.cells_skipped = stats.cells_skipped - primed.cells_skipped;
+  r.warm_phases = stats.phases;
+  r.warm_phases.plan -= primed.phases.plan;
+  r.warm_phases.join -= primed.phases.join;
+  r.warm_phases.root -= primed.phases.root;
+  r.warm_phases.reconstruct -= primed.phases.reconstruct;
+  r.warm_phases.evaluate -= primed.phases.evaluate;
   return r;
 }
 
@@ -187,13 +205,16 @@ void add_result(Table& table, Table& gate, const std::string& algo,
   const double speedup =
       r.warm_seconds > 0.0 ? r.cold_seconds / r.warm_seconds : 0.0;
   const std::string identical = r.identical ? "yes" : "NO";
+  const PowerPhaseSeconds& ph = r.warm_phases;
   table.add_row({algo, label, static_cast<std::int64_t>(steps),
                  static_cast<std::int64_t>(r.cold_work),
                  static_cast<std::int64_t>(r.warm_work), ratio,
                  static_cast<std::int64_t>(r.nodes_recomputed),
                  static_cast<std::int64_t>(r.nodes_reused),
                  static_cast<std::int64_t>(r.cells_skipped), r.cold_seconds,
-                 r.warm_seconds, speedup, identical});
+                 r.warm_seconds, speedup, ph.plan * 1e3, ph.join * 1e3,
+                 ph.root * 1e3, ph.reconstruct * 1e3, ph.evaluate * 1e3,
+                 identical});
   gate.add_row({algo, label, static_cast<std::int64_t>(steps),
                 static_cast<std::int64_t>(r.cold_work),
                 static_cast<std::int64_t>(r.warm_work),
@@ -219,7 +240,8 @@ int main(int argc, char** argv) {
 
   Table table({"solver", "instance", "steps", "cold_work", "warm_work",
                "work_ratio", "nodes_recomputed", "nodes_reused",
-               "cells_skipped", "cold_s", "warm_s", "speedup", "identical"});
+               "cells_skipped", "cold_s", "warm_s", "speedup", "plan_ms",
+               "join_ms", "root_ms", "recon_ms", "eval_ms", "identical"});
   table.set_title("Warm vs. cold re-solves (" + std::to_string(steps) +
                   " delta steps per row)");
   Table gate({"solver", "instance", "steps", "cold_work", "warm_work",
@@ -278,6 +300,17 @@ int main(int argc, char** argv) {
   // the spliced volume alongside the usual identity/work gates.
   run_row(Config{"power-sym", 0, false, 96}, DeltaSize{"star96_burst8", 8});
   run_row(Config{"update-dp", 0, true, 96}, DeltaSize{"star96_burst8", 8});
+
+  // Witness ties: under near-tie pricing many frontier points have
+  // several optimal placements with bit-identical (cost, power), and the
+  // Pareto root join must pick the same witness the full root table's
+  // min-flow, first-occurrence winner did — the identical column checks
+  // every placement against the cold solve, each re-priced by the
+  // evaluator.
+  for (const int n : {40, 60}) {
+    run_row(Config{"power-sym", n, false, 0, /*near_tie=*/true},
+            DeltaSize{"near_tie_N" + std::to_string(n), 2});
+  }
 
   bench::emit(table, "warm_start", total.seconds());
   const std::string json_path = bench::out_path("BENCH_warm_start.json");

@@ -125,7 +125,11 @@ inline std::size_t packed_decisions_bytes(
 /// Per-node state of the power DPs (exact and symmetric share the shape):
 /// the final table (children combined along the merge tree, client mass
 /// folded in), the bounds the parent's merge sees, and the per-slot
-/// decision records the reconstruction walks.  Cached solves additionally
+/// decision records the reconstruction walks.  The tree root is the
+/// exception: it keeps neither a final table nor its last merge slot —
+/// the root join pairs that step's two operand slots instead
+/// (core/pareto_root.h) — so its operand slots are what its cache entry
+/// is for.  Cached solves additionally
 /// keep every slot's box and flow table — the subtree-resume substrate: a
 /// warm re-solve rebuilds only the dirty leaves and the internal slots on
 /// their root paths, splicing the snapshots in everywhere else.

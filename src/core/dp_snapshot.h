@@ -26,9 +26,12 @@ namespace treeplace::dp {
 /// (SolveSession::save): 8 magic bytes, then a u32 format version.
 /// Version 2: flow tables are serialized as PackedTable encodings
 /// (run-length dead-cell elision + narrow cells) instead of flat u64
-/// arrays; version-1 files are rejected (sessions then start cold).
+/// arrays.  Version 3: the power DPs' root node stores no folded table and
+/// no root merge slot (the root join pairs the operand slots instead, see
+/// core/pareto_root.h).  Older files are rejected whole (sessions then
+/// start cold).
 inline constexpr char kSnapshotMagic[9] = "TPSNAP01";
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 void save_cache(binio::Writer& w, const PowerSubtreeCache& cache);
 void save_cache(binio::Writer& w, const MinCostSubtreeCache& cache);

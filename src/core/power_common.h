@@ -21,6 +21,17 @@ struct PowerParetoPoint {
   CostBreakdown breakdown;
 };
 
+/// Wall-clock split of one power solve into its phases.  Always on (a
+/// few clock reads per solve) and timing-only: nothing here feeds a result
+/// value, a work counter or a bit-identity gate.
+struct PowerPhaseSeconds {
+  double plan = 0.0;         ///< dirty planning (signature diff)
+  double join = 0.0;         ///< leaf expansions, slot joins, base folds
+  double root = 0.0;         ///< root join and Pareto frontier selection
+  double reconstruct = 0.0;  ///< decision walks of the frontier points
+  double evaluate = 0.0;     ///< re-pricing the frontier placements
+};
+
 struct PowerSolveStats {
   std::uint64_t merge_pairs = 0;   ///< (left entry, right entry) pairs visited
   std::uint64_t table_cells = 0;   ///< total DP cells allocated
@@ -41,6 +52,7 @@ struct PowerSolveStats {
   /// Arena bytes holding flow/decision tables at the end of the solve.
   std::uint64_t table_bytes = 0;
   double solve_seconds = 0.0;
+  PowerPhaseSeconds phases;
 };
 
 struct PowerDPResult {

@@ -5,6 +5,7 @@
 
 #include "core/dp_util.h"
 #include "core/merge_kernel.h"
+#include "core/pareto_root.h"
 #include "support/timer.h"
 
 namespace treeplace {
@@ -28,12 +29,19 @@ using NodeState = dp::PowerNodeState;
 /// flats (the lazy-join input), or changed beyond tracking.
 enum class SlotDiff : std::uint8_t { kClean, kChanged, kUnknown };
 
+/// One root option over one (left cell, right cell) pair of the root join.
+/// `flat` is the pair's index in the root box — the cell a full join of
+/// the two operands would write — and, with flow/left/right, breaks ties
+/// exactly as that join's min-flow, first-occurrence winner.
 struct Candidate {
   double cost = 0.0;
   double power = 0.0;
   std::uint32_t flat = 0;
   std::int8_t root_mode = -1;  ///< -1: no server at root
   int servers = 0;
+  RequestCount flow = 0;    ///< open flow at the root, client mass folded
+  std::uint32_t left = 0;   ///< operand cells (see dp::RootOperands)
+  std::uint32_t right = 0;
 };
 
 class ExactPowerSolver {
@@ -77,7 +85,11 @@ class ExactPowerSolver {
   PowerDPResult solve() {
     Stopwatch watch;
     PowerDPResult result;
-    const dp::DirtyPlan plan = plan_dirty();
+    Stopwatch phase;
+    dp::DirtyPlan plan = plan_dirty();
+    dp::require_root_operands(topo_, cache_, plan);
+    phases_.plan = phase.seconds();
+    phase.reset();
     signatures_checked_ = plan.signatures_checked;
     for (NodeId j : topo_.internal_post_order()) {
       const std::size_t i = topo_.internal_index(j);
@@ -86,14 +98,18 @@ class ExactPowerSolver {
         continue;  // splice the cached subtree table in unchanged
       }
       if (!process_node(j, plan)) {
+        phases_.join = phase.seconds();
         finish_stats(result, watch);
         return result;  // some client mass exceeds W_M: infeasible
       }
       if (cache_ != nullptr) cache_->commit(i, signature(j));
       ++nodes_recomputed_;
     }
-    std::vector<Candidate> candidates = scan_root();
-    build_frontier(std::move(candidates), result);
+    phases_.join = phase.seconds();
+    phase.reset();
+    const std::vector<Candidate> chosen = select_frontier(root_join());
+    phases_.root = phase.seconds();
+    emit_frontier(chosen, result);
     finish_stats(result, watch);
     return result;
   }
@@ -126,6 +142,7 @@ class ExactPowerSolver {
     result.stats.cells_skipped = cells_skipped_;
     result.stats.table_bytes = arena_->used_bytes();
     result.stats.solve_seconds = watch.seconds();
+    result.stats.phases = phases_;
   }
 
   std::size_t dim_new(int w) const { return static_cast<std::size_t>(w); }
@@ -170,6 +187,11 @@ class ExactPowerSolver {
     }
     slot_diff_.assign(slots, SlotDiff::kClean);
     slot_changed_.resize(slots);
+    // The root stops short of its last merge step: the root join pairs
+    // that step's operands instead (see root_join).
+    const bool is_root = j == topo_.root();
+    const std::size_t steps =
+        mplan.steps().size() - (is_root && k > 1 ? 1 : 0);
     if (resume) {
       // One rolling changed-cell footprint for the whole rebuild (see
       // dp::RollingDiffBudget): bursty batches that dirty many slots of
@@ -178,18 +200,25 @@ class ExactPowerSolver {
       for (std::size_t t = 0; t < slots; ++t) {
         if (slot_dirty.dirty[t] != 0) dirty_cells += s.slot_flows[t].size();
       }
+      if (steps < mplan.steps().size() &&
+          slot_dirty.dirty[mplan.root_slot()] != 0) {
+        // The root slot is never stored; count the cells it would have
+        // held, so the root's operand joins stay exactly as lazy.
+        dirty_cells += dp::root_box(s, dp::root_operands(mplan), dims_).size();
+      }
       diff_budget_.reset(dirty_cells);
     }
 
     for (std::size_t c = 0; c < k; ++c) {
       if (slot_dirty.dirty[c] != 0) expand_leaf(s, c, children[c], resume);
     }
-    for (std::size_t t = 0; t < mplan.steps().size(); ++t) {
+    for (std::size_t t = 0; t < steps; ++t) {
       const std::uint32_t out = mplan.step_slot(t);
       if (slot_dirty.dirty[out] != 0) {
         merge_step(s, mplan.steps()[t], out, resume);
       }
     }
+    if (is_root) return true;  // the root join reads the operand slots
     if (!resume || slot_dirty.any || plan.base_changed[i] != 0) {
       fold_base(s, base, mplan);
     }
@@ -369,36 +398,88 @@ class ExactPowerSolver {
     }
   }
 
-  /// Enumerates root-table states x root options into (cost, power)
+  /// The root join (core/pareto_root.h): prunes the root's two operand
+  /// slots to their non-dominated cells, pairs the survivors under the
+  /// W_M cut with the root's client mass folded in, and expands every
+  /// feasible pair into the root's own options as (cost, power)
   /// candidates.
-  std::vector<Candidate> scan_root() const {
+  std::vector<Candidate> root_join() {
     const NodeId root = topo_.root();
-    // The root may be clean (and packed) on a fully-warm solve; its table
-    // is re-read every solve for the frontier scan.
-    if (cache_ != nullptr) {
-      cache_->ensure_unpacked(topo_.internal_index(root));
+    const std::size_t ri = topo_.internal_index(root);
+    // The root may be clean (and packed) on a fully-warm solve; its
+    // operand slots are re-read every solve.
+    if (cache_ != nullptr) cache_->ensure_unpacked(ri);
+    const NodeState& s = node_state(ri);
+    const dp::RootOperands ops =
+        dp::root_operands(plans_.get(topo_.internal_children(root).size()));
+    const Box rbox = dp::root_box(s, ops, dims_);
+
+    // Partial cost and power per count-vector digit; make_candidate adds
+    // the deletion constant and the operating cost the same way.  Its
+    // summation order depends on every count, so each dimension is its
+    // own cost group.
+    dp::RootPricing pricing;
+    pricing.cost_group.resize(dims_);
+    pricing.group_cost.assign(dims_, 0.0);
+    pricing.power_coef.assign(dims_, 0.0);
+    double max_cost_term = 1.0;
+    double max_power = 0.0;
+    for (std::size_t d = 0; d < dims_; ++d) {
+      pricing.cost_group[d] = static_cast<std::uint32_t>(d);
     }
-    const NodeState& s = node_state(topo_.internal_index(root));
+    for (int w = 0; w < m_; ++w) {
+      pricing.group_cost[dim_new(w)] = costs_.create(w) + 1.0;
+      pricing.power_coef[dim_new(w)] = modes_.power(w);
+      max_cost_term = std::max(max_cost_term, std::fabs(costs_.create(w)));
+      max_power = std::max(max_power, std::fabs(modes_.power(w)));
+      for (int o = 0; o < m_; ++o) {
+        pricing.group_cost[dim_reused(o, w)] =
+            costs_.changed(o, w) + 1.0 - costs_.del(o);
+        pricing.power_coef[dim_reused(o, w)] = modes_.power(w);
+        max_cost_term =
+            std::max({max_cost_term, std::fabs(costs_.changed(o, w)),
+                      std::fabs(costs_.del(o))});
+      }
+    }
+    double units = 1.0;  // bound on any candidate's summed counts
+    for (const int b : rbox.bounds()) units += b;
+    double pre_total = 0.0;
+    for (const int n : pre_total_per_mode_) pre_total += n;
+    pricing.cost_tol =
+        dp::near_tie_tolerance((units + pre_total) * 3.0 * max_cost_term);
+    pricing.power_tol = dp::near_tie_tolerance(units * max_power);
+    dp::root_operand_cells(s, ops.left, rbox, pricing, root_left_);
+    dp::root_operand_cells(s, ops.right, rbox, pricing, root_right_);
+
+    const RequestCount base = scen_.client_mass(root);
+    const RequestCount w_max = modes_.max_capacity();
     std::vector<Candidate> candidates;
-    std::vector<int> digits(dims_, 0);
+    std::vector<int> digits(dims_);
     std::vector<int> counts(dims_);
-    for (std::size_t flat = 0; flat < s.box.size(); ++flat) {
-      const RequestCount f = s.flow[flat];
-      if (f != kInvalidFlow) {
+    for (const dp::RootCell& a : root_left_) {
+      for (const dp::RootCell& b : root_right_) {
+        ++merge_pairs_;
+        const RequestCount joined = a.flow + b.flow;
+        if (joined > w_max || joined + base > w_max) continue;
+        const RequestCount f = joined + base;
+        const std::size_t flat = static_cast<std::size_t>(a.dot + b.dot);
+        rbox.decode(flat, digits);
+        const auto add = [&](std::int8_t w) {
+          Candidate c = make_candidate(counts, flat, w);
+          c.flow = f;
+          c.left = a.flat;
+          c.right = b.flat;
+          candidates.push_back(c);
+        };
         if (f == 0) {
           counts.assign(digits.begin(), digits.end());
-          candidates.push_back(make_candidate(counts, flat, -1));
+          add(-1);
         }
         for (int w = modes_.mode_for_load(f); w < m_; ++w) {
           counts.assign(digits.begin(), digits.end());
           counts[dim_of(root, w)] += 1;
-          candidates.push_back(
-              make_candidate(counts, flat, static_cast<std::int8_t>(w)));
+          add(static_cast<std::int8_t>(w));
         }
-      }
-      for (std::size_t d = dims_; d-- > 0;) {
-        if (++digits[d] <= s.box.bounds()[d]) break;
-        digits[d] = 0;
       }
     }
     return candidates;
@@ -436,16 +517,23 @@ class ExactPowerSolver {
                      servers};
   }
 
-  void build_frontier(std::vector<Candidate> candidates,
-                      PowerDPResult& result) const {
-    if (candidates.empty()) return;
+  /// Sorts the candidates and sweeps out the Pareto frontier: ascending
+  /// cost, strictly descending power, the comparator-first candidate kept
+  /// on ties.
+  static std::vector<Candidate> select_frontier(
+      std::vector<Candidate> candidates) {
     std::sort(candidates.begin(), candidates.end(),
               [](const Candidate& a, const Candidate& b) {
                 if (a.cost != b.cost) return a.cost < b.cost;
                 if (a.power != b.power) return a.power < b.power;
                 if (a.servers != b.servers) return a.servers < b.servers;
                 if (a.flat != b.flat) return a.flat < b.flat;
-                return a.root_mode < b.root_mode;
+                if (a.root_mode != b.root_mode) {
+                  return a.root_mode < b.root_mode;
+                }
+                if (a.flow != b.flow) return a.flow < b.flow;
+                if (a.left != b.left) return a.left < b.left;
+                return a.right < b.right;
               });
     constexpr double kEps = 1e-9;
     std::vector<Candidate> swept;
@@ -458,14 +546,24 @@ class ExactPowerSolver {
         }
       }
     }
+    return swept;
+  }
+
+  /// Reconstructs and prices each chosen candidate into a frontier point.
+  void emit_frontier(const std::vector<Candidate>& chosen,
+                     PowerDPResult& result) {
+    if (chosen.empty()) return;
     result.feasible = true;
-    result.frontier.reserve(swept.size());
-    for (const Candidate& c : swept) {
+    result.frontier.reserve(chosen.size());
+    for (const Candidate& c : chosen) {
+      Stopwatch phase;
       PowerParetoPoint point;
       if (c.root_mode >= 0) {
         point.placement.add(out_id(topo_.root()), c.root_mode);
       }
-      reconstruct(topo_.root(), c.flat, point.placement);
+      reconstruct_root(c, point.placement);
+      phases_.reconstruct += phase.seconds();
+      phase.reset();
       if (contraction_ != nullptr) {
         // The placement names original ids, which this contracted
         // topo/scen cannot price; the caller re-evaluates every point on
@@ -480,7 +578,24 @@ class ExactPowerSolver {
         TREEPLACE_DCHECK(std::fabs(point.cost - c.cost) < 1e-6);
         TREEPLACE_DCHECK(std::fabs(point.power - c.power) < 1e-6);
       }
+      phases_.evaluate += phase.seconds();
       result.frontier.push_back(std::move(point));
+    }
+  }
+
+  /// Walks a root-join candidate's two operand cells down the root's
+  /// merge plan.
+  void reconstruct_root(const Candidate& c, Placement& placement) const {
+    const NodeId root = topo_.root();
+    const auto children = topo_.internal_children(root);
+    if (children.empty()) return;
+    if (cache_ != nullptr) cache_->ensure_unpacked(topo_.internal_index(root));
+    const NodeState& s = node_state(topo_.internal_index(root));
+    const dp::MergePlan& mplan = plans_.get(children.size());
+    const dp::RootOperands ops = dp::root_operands(mplan);
+    reconstruct_slot(s, children, mplan, ops.left, c.left, placement);
+    if (ops.right != dp::RootOperands::kNoSlot) {
+      reconstruct_slot(s, children, mplan, ops.right, c.right, placement);
     }
   }
 
@@ -553,6 +668,8 @@ class ExactPowerSolver {
   mutable dp::MergePlanCache plans_;
   std::vector<int> pre_total_per_mode_;
   dp::JoinScratch scratch_;
+  std::vector<dp::RootCell> root_left_;  ///< root-join operand scratch
+  std::vector<dp::RootCell> root_right_;
   dp::RollingDiffBudget diff_budget_;
   /// Per-slot diff state of the node currently being processed.
   std::vector<SlotDiff> slot_diff_;
@@ -564,6 +681,7 @@ class ExactPowerSolver {
   std::uint64_t nodes_reused_ = 0;
   std::uint64_t signatures_checked_ = 0;
   std::uint64_t cells_skipped_ = 0;
+  PowerPhaseSeconds phases_;
 };
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "core/dp_util.h"
 #include "core/merge_kernel.h"
+#include "core/pareto_root.h"
 #include "core/power_dp.h"
 #include "support/timer.h"
 
@@ -25,12 +26,16 @@ using NodeState = dp::PowerNodeState;
 /// Per-slot warm-diff state; see the exact DP (power_dp.cc).
 enum class SlotDiff : std::uint8_t { kClean, kChanged, kUnknown };
 
+/// One root option over one root-join pair; see the exact DP's Candidate.
 struct Candidate {
   double cost = 0.0;
   double power = 0.0;
   std::uint32_t flat = 0;
   std::int8_t root_mode = -1;
   int servers = 0;
+  RequestCount flow = 0;
+  std::uint32_t left = 0;
+  std::uint32_t right = 0;
 };
 
 class SymmetricPowerSolver {
@@ -59,7 +64,11 @@ class SymmetricPowerSolver {
   PowerDPResult solve() {
     Stopwatch watch;
     PowerDPResult result;
-    const dp::DirtyPlan plan = plan_dirty();
+    Stopwatch phase;
+    dp::DirtyPlan plan = plan_dirty();
+    dp::require_root_operands(topo_, cache_, plan);
+    phases_.plan = phase.seconds();
+    phase.reset();
     signatures_checked_ = plan.signatures_checked;
     for (NodeId j : topo_.internal_post_order()) {
       const std::size_t i = topo_.internal_index(j);
@@ -68,13 +77,18 @@ class SymmetricPowerSolver {
         continue;  // splice the cached subtree table in unchanged
       }
       if (!process_node(j, plan)) {
+        phases_.join = phase.seconds();
         finish_stats(result, watch);
         return result;
       }
       if (cache_ != nullptr) cache_->commit(i, signature(j));
       ++nodes_recomputed_;
     }
-    build_frontier(scan_root(), result);
+    phases_.join = phase.seconds();
+    phase.reset();
+    const std::vector<Candidate> chosen = select_frontier(root_join());
+    phases_.root = phase.seconds();
+    emit_frontier(chosen, result);
     finish_stats(result, watch);
     return result;
   }
@@ -107,6 +121,7 @@ class SymmetricPowerSolver {
     result.stats.cells_skipped = cells_skipped_;
     result.stats.table_bytes = arena_->used_bytes();
     result.stats.solve_seconds = watch.seconds();
+    result.stats.phases = phases_;
   }
 
   std::size_t dim_mode(int w) const { return static_cast<std::size_t>(w); }
@@ -138,12 +153,21 @@ class SymmetricPowerSolver {
     }
     slot_diff_.assign(slots, SlotDiff::kClean);
     slot_changed_.resize(slots);
+    // The root stops short of its last merge step (see root_join).
+    const bool is_root = j == topo_.root();
+    const std::size_t steps =
+        mplan.steps().size() - (is_root && k > 1 ? 1 : 0);
     if (resume) {
       // One rolling changed-cell footprint for the whole rebuild (see
-      // dp::RollingDiffBudget).
+      // dp::RollingDiffBudget), counting the never-stored root slot as
+      // the exact DP does.
       std::size_t dirty_cells = 0;
       for (std::size_t t = 0; t < slots; ++t) {
         if (slot_dirty.dirty[t] != 0) dirty_cells += s.slot_flows[t].size();
+      }
+      if (steps < mplan.steps().size() &&
+          slot_dirty.dirty[mplan.root_slot()] != 0) {
+        dirty_cells += dp::root_box(s, dp::root_operands(mplan), dims_).size();
       }
       diff_budget_.reset(dirty_cells);
     }
@@ -151,12 +175,13 @@ class SymmetricPowerSolver {
     for (std::size_t c = 0; c < k; ++c) {
       if (slot_dirty.dirty[c] != 0) expand_leaf(s, c, children[c], resume);
     }
-    for (std::size_t t = 0; t < mplan.steps().size(); ++t) {
+    for (std::size_t t = 0; t < steps; ++t) {
       const std::uint32_t out = mplan.step_slot(t);
       if (slot_dirty.dirty[out] != 0) {
         merge_step(s, mplan.steps()[t], out, resume);
       }
     }
+    if (is_root) return true;  // the root join reads the operand slots
     if (!resume || slot_dirty.any || plan.base_changed[i] != 0) {
       fold_base(s, base, mplan);
     }
@@ -328,23 +353,71 @@ class SymmetricPowerSolver {
     }
   }
 
-  std::vector<Candidate> scan_root() const {
+  /// The root join (core/pareto_root.h); see the exact DP's root_join.
+  std::vector<Candidate> root_join() {
     const NodeId root = topo_.root();
-    if (cache_ != nullptr) {
-      cache_->ensure_unpacked(topo_.internal_index(root));
+    const std::size_t ri = topo_.internal_index(root);
+    if (cache_ != nullptr) cache_->ensure_unpacked(ri);
+    const NodeState& s = node_state(ri);
+    const dp::RootOperands ops =
+        dp::root_operands(plans_.get(topo_.internal_children(root).size()));
+    const Box rbox = dp::root_box(s, ops, dims_);
+
+    // Partial cost and power per digit, as make_candidate prices them:
+    // a server costs 1 + create unless reused, a reuse swaps the create
+    // and the deletion it avoids for its changed_same/diff price.  The
+    // candidate cost depends only on (servers, e_same, e_changed), so the
+    // per-mode server dimensions share one cost group.
+    dp::RootPricing pricing;
+    pricing.cost_group.assign(dims_, 0);
+    pricing.cost_group[dim_same()] = 1;
+    pricing.cost_group[dim_changed()] = 2;
+    pricing.group_cost = {1.0 + create_, changed_same_ - create_ - delete_,
+                          changed_diff_ - create_ - delete_};
+    pricing.power_coef.assign(dims_, 0.0);
+    double max_power = 0.0;
+    for (int w = 0; w < m_; ++w) {
+      pricing.power_coef[dim_mode(w)] = modes_.power(w);
+      max_power = std::max(max_power, std::fabs(modes_.power(w)));
     }
-    const NodeState& s = node_state(topo_.internal_index(root));
+    double units = 1.0;  // bound on any candidate's summed counts
+    for (const int b : rbox.bounds()) units += b;
+    const double e_total = static_cast<double>(
+        contraction_ != nullptr ? contraction_->num_pre_existing
+                                : scen_.num_pre_existing());
+    pricing.cost_tol = dp::near_tie_tolerance(
+        (units + e_total) *
+        (1.0 + std::fabs(create_) + std::fabs(changed_same_) +
+         std::fabs(changed_diff_) + std::fabs(delete_)));
+    pricing.power_tol = dp::near_tie_tolerance(units * max_power);
+    dp::root_operand_cells(s, ops.left, rbox, pricing, root_left_);
+    dp::root_operand_cells(s, ops.right, rbox, pricing, root_right_);
+
     const bool root_pre = scen_.pre_existing(root);
     const int root_orig = root_pre ? scen_.original_mode(root) : -1;
+    const RequestCount base = scen_.client_mass(root);
+    const RequestCount w_max = modes_.max_capacity();
     std::vector<Candidate> candidates;
-    std::vector<int> digits(dims_, 0);
+    std::vector<int> digits(dims_);
     std::vector<int> counts(dims_);
-    for (std::size_t flat = 0; flat < s.box.size(); ++flat) {
-      const RequestCount f = s.flow[flat];
-      if (f != kInvalidFlow) {
+    for (const dp::RootCell& a : root_left_) {
+      for (const dp::RootCell& b : root_right_) {
+        ++merge_pairs_;
+        const RequestCount joined = a.flow + b.flow;
+        if (joined > w_max || joined + base > w_max) continue;
+        const RequestCount f = joined + base;
+        const std::size_t flat = static_cast<std::size_t>(a.dot + b.dot);
+        rbox.decode(flat, digits);
+        const auto add = [&](std::int8_t w) {
+          Candidate c = make_candidate(counts, flat, w);
+          c.flow = f;
+          c.left = a.flat;
+          c.right = b.flat;
+          candidates.push_back(c);
+        };
         if (f == 0) {
           counts.assign(digits.begin(), digits.end());
-          candidates.push_back(make_candidate(counts, flat, -1));
+          add(-1);
         }
         for (int w = modes_.mode_for_load(f); w < m_; ++w) {
           counts.assign(digits.begin(), digits.end());
@@ -352,13 +425,8 @@ class SymmetricPowerSolver {
           if (root_pre) {
             counts[w == root_orig ? dim_same() : dim_changed()] += 1;
           }
-          candidates.push_back(
-              make_candidate(counts, flat, static_cast<std::int8_t>(w)));
+          add(static_cast<std::int8_t>(w));
         }
-      }
-      for (std::size_t d = dims_; d-- > 0;) {
-        if (++digits[d] <= s.box.bounds()[d]) break;
-        digits[d] = 0;
       }
     }
     return candidates;
@@ -391,16 +459,23 @@ class SymmetricPowerSolver {
                      servers};
   }
 
-  void build_frontier(std::vector<Candidate> candidates,
-                      PowerDPResult& result) const {
-    if (candidates.empty()) return;
+  /// Sorts the candidates and sweeps out the Pareto frontier: ascending
+  /// cost, strictly descending power, the comparator-first candidate kept
+  /// on ties.
+  static std::vector<Candidate> select_frontier(
+      std::vector<Candidate> candidates) {
     std::sort(candidates.begin(), candidates.end(),
               [](const Candidate& a, const Candidate& b) {
                 if (a.cost != b.cost) return a.cost < b.cost;
                 if (a.power != b.power) return a.power < b.power;
                 if (a.servers != b.servers) return a.servers < b.servers;
                 if (a.flat != b.flat) return a.flat < b.flat;
-                return a.root_mode < b.root_mode;
+                if (a.root_mode != b.root_mode) {
+                  return a.root_mode < b.root_mode;
+                }
+                if (a.flow != b.flow) return a.flow < b.flow;
+                if (a.left != b.left) return a.left < b.left;
+                return a.right < b.right;
               });
     constexpr double kEps = 1e-9;
     std::vector<Candidate> swept;
@@ -413,14 +488,24 @@ class SymmetricPowerSolver {
         }
       }
     }
+    return swept;
+  }
+
+  /// Reconstructs and prices each chosen candidate into a frontier point.
+  void emit_frontier(const std::vector<Candidate>& chosen,
+                     PowerDPResult& result) {
+    if (chosen.empty()) return;
     result.feasible = true;
-    result.frontier.reserve(swept.size());
-    for (const Candidate& c : swept) {
+    result.frontier.reserve(chosen.size());
+    for (const Candidate& c : chosen) {
+      Stopwatch phase;
       PowerParetoPoint point;
       if (c.root_mode >= 0) {
         point.placement.add(out_id(topo_.root()), c.root_mode);
       }
-      reconstruct(topo_.root(), c.flat, point.placement);
+      reconstruct_root(c, point.placement);
+      phases_.reconstruct += phase.seconds();
+      phase.reset();
       if (contraction_ != nullptr) {
         // Original-id placement over a contracted topo/scen: the caller
         // re-prices every point on the original instance.
@@ -433,7 +518,23 @@ class SymmetricPowerSolver {
         TREEPLACE_DCHECK(std::fabs(point.cost - c.cost) < 1e-6);
         TREEPLACE_DCHECK(std::fabs(point.power - c.power) < 1e-6);
       }
+      phases_.evaluate += phase.seconds();
       result.frontier.push_back(std::move(point));
+    }
+  }
+
+  /// Walks a root-join candidate's operand cells; see the exact DP.
+  void reconstruct_root(const Candidate& c, Placement& placement) const {
+    const NodeId root = topo_.root();
+    const auto children = topo_.internal_children(root);
+    if (children.empty()) return;
+    if (cache_ != nullptr) cache_->ensure_unpacked(topo_.internal_index(root));
+    const NodeState& s = node_state(topo_.internal_index(root));
+    const dp::MergePlan& mplan = plans_.get(children.size());
+    const dp::RootOperands ops = dp::root_operands(mplan);
+    reconstruct_slot(s, children, mplan, ops.left, c.left, placement);
+    if (ops.right != dp::RootOperands::kNoSlot) {
+      reconstruct_slot(s, children, mplan, ops.right, c.right, placement);
     }
   }
 
@@ -508,6 +609,8 @@ class SymmetricPowerSolver {
   mutable std::vector<NodeState> local_states_;
   mutable dp::MergePlanCache plans_;
   dp::JoinScratch scratch_;
+  std::vector<dp::RootCell> root_left_;  ///< root-join operand scratch
+  std::vector<dp::RootCell> root_right_;
   dp::RollingDiffBudget diff_budget_;
   /// Per-slot diff state of the node currently being processed.
   std::vector<SlotDiff> slot_diff_;
@@ -519,6 +622,7 @@ class SymmetricPowerSolver {
   std::uint64_t nodes_reused_ = 0;
   std::uint64_t signatures_checked_ = 0;
   std::uint64_t cells_skipped_ = 0;
+  PowerPhaseSeconds phases_;
 };
 
 }  // namespace

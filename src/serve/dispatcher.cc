@@ -65,12 +65,17 @@ std::future<ServeResult> SolveDispatcher::submit(
     stats_.max_in_flight = std::max(stats_.max_in_flight, in_flight_);
   }
   Stopwatch queued;
-  return pool_.submit([this, solver_index, instance = std::move(instance),
-                       session = std::move(session),
-                       deltas = std::move(deltas), queued] {
-    return run_solve(solver_index, instance, session.get(), deltas,
-                     queued.seconds());
-  });
+  std::shared_ptr<SolveSession> strand =
+      solver.supports_incremental() ? session : nullptr;
+  auto task = std::make_shared<std::packaged_task<ServeResult()>>(
+      [this, solver_index, instance = std::move(instance),
+       session = std::move(session), deltas = std::move(deltas), queued] {
+        return run_solve(solver_index, instance, session.get(), deltas,
+                         queued.seconds());
+      });
+  std::future<ServeResult> result = task->get_future();
+  post(strand, [task] { (*task)(); });
+  return result;
 }
 
 bool SolveDispatcher::try_reserve_slot() {
@@ -119,14 +124,59 @@ void SolveDispatcher::submit_reserved(std::size_t solver_index,
   }
 
   Stopwatch queued;
+  std::shared_ptr<SolveSession> strand =
+      solver.supports_incremental() ? session : nullptr;
   // run_solve releases the queue slot before returning, so by the time
   // `done` fires the caller may immediately reserve again.
-  pool_.submit([this, solver_index, instance = std::move(instance),
+  post(strand, [this, solver_index, instance = std::move(instance),
                 session = std::move(session), deltas = std::move(deltas),
                 queued, done = std::move(done)]() mutable {
     done(run_solve(solver_index, instance, session.get(), deltas,
                    queued.seconds()));
   });
+}
+
+void SolveDispatcher::post(const std::shared_ptr<SolveSession>& session,
+                           std::function<void()> task) {
+  if (session == nullptr) {
+    pool_.submit(std::move(task));
+    return;
+  }
+  SolveSession::Strand& strand = session->strand();
+  {
+    std::scoped_lock lock(strand.mutex);
+    strand.pending.push_back(std::move(task));
+    if (strand.running) return;  // its draining worker will run the task
+    strand.running = true;
+  }
+  // The drainer holds the session: its last task may drop the only other
+  // reference before the drainer sees the strand empty.
+  pool_.submit([session] { drain(session->strand()); });
+}
+
+void SolveDispatcher::drain(SolveSession::Strand& strand) {
+  // A throwing task must not strand the tasks queued behind it; the first
+  // failure propagates after the strand is empty, as it would have from
+  // the task's own pool submission.
+  std::exception_ptr failure;
+  for (;;) {
+    std::function<void()> task;
+    {
+      std::scoped_lock lock(strand.mutex);
+      if (strand.pending.empty()) {
+        strand.running = false;
+        break;
+      }
+      task = std::move(strand.pending.front());
+      strand.pending.pop_front();
+    }
+    try {
+      task();
+    } catch (...) {
+      if (!failure) failure = std::current_exception();
+    }
+  }
+  if (failure) std::rethrow_exception(failure);
 }
 
 ServeResult SolveDispatcher::run_solve(
@@ -138,8 +188,8 @@ ServeResult SolveDispatcher::run_solve(
   Stopwatch watch;
   try {
     if (session != nullptr && solver.supports_incremental()) {
-      // Warm solves over one session serialize; sessions are per topology,
-      // so only same-topology requests contend.
+      // The session's strand already runs its warm solves one at a time
+      // in submission order; the mutex excludes save()/compact().
       std::scoped_lock session_lock(session->solve_mutex());
       result.solution = solver.solve(SolveRequest{instance, deltas, session});
       result.warm = true;

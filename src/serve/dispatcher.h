@@ -14,6 +14,13 @@
 // solver/solver.h.  Per-solver latency statistics (queue wait, solve wall
 // time, work counters) are aggregated under the same lock that implements
 // the bounded queue.
+//
+// Warm solves sharing one SolveSession run in submission order: they queue
+// on the session's strand (SolveSession::Strand), which at most one pool
+// worker drains at a time.  A session's cache state — and so every work
+// counter a warm solve reports — depends on which scenario it saw last,
+// so the order must not be left to whichever worker reaches the session
+// first.
 #pragma once
 
 #include <cstddef>
@@ -92,10 +99,10 @@ class SolveDispatcher {
   /// future with ok = false instead of propagating.
   ///
   /// When `session` is set and the solver supports incremental solves, the
-  /// worker runs Solver::solve(SolveRequest) under the session's solve
-  /// mutex (solves sharing one session serialize; results stay
-  /// bit-identical to cold solves either way).  `deltas` is the warm-start
-  /// hint forwarded to the solver.
+  /// solve joins the session's strand: it runs Solver::solve(SolveRequest)
+  /// after every earlier-submitted solve of that session, under the
+  /// session's solve mutex (which save/compact also take).  `deltas` is
+  /// the warm-start hint forwarded to the solver.
   std::future<ServeResult> submit(std::size_t solver_index, Instance instance,
                                   std::shared_ptr<SolveSession> session =
                                       nullptr,
@@ -142,6 +149,13 @@ class SolveDispatcher {
                         SolveSession* session,
                         const std::vector<ScenarioDelta>& deltas,
                         double queue_seconds);
+
+  /// Runs `task` on the pool — behind the strand of `session` when set,
+  /// so same-session tasks run one at a time in submission order.
+  void post(const std::shared_ptr<SolveSession>& session,
+            std::function<void()> task);
+  /// Pool task: runs the strand's pending tasks until it is empty.
+  static void drain(SolveSession::Strand& strand);
 
   std::vector<std::unique_ptr<Solver>> solvers_;
   std::size_t queue_capacity_ = 0;

@@ -128,7 +128,9 @@ PowerDPResult run_contracted_power(
   opts.contraction = &view;
   PowerDPResult r =
       engine(*prep.map->contracted(), prep.scenario, in.modes, in.costs, opts);
+  Stopwatch reprice;
   reprice_frontier(in, r);
+  r.stats.phases.evaluate += reprice.seconds();
   r.stats.nodes_reused += prep.hidden_internal;
   return r;
 }
@@ -356,7 +358,7 @@ class PowerExactSolver : public Solver {
     }
     session.record_warm(r.stats.nodes_recomputed, r.stats.nodes_reused,
                         r.stats.merge_steps, r.stats.signatures_checked,
-                        r.stats.cells_skipped);
+                        r.stats.cells_skipped, r.stats.phases);
     return finish(in, std::move(r));
   }
 
@@ -429,7 +431,7 @@ class PowerSymmetricSolver : public Solver {
     }
     session.record_warm(r.stats.nodes_recomputed, r.stats.nodes_reused,
                         r.stats.merge_steps, r.stats.signatures_checked,
-                        r.stats.cells_skipped);
+                        r.stats.cells_skipped, r.stats.phases);
     return finish(in, std::move(r));
   }
 

@@ -36,6 +36,12 @@ struct Shedding {
   }
 };
 
+std::uint64_t to_ns(double seconds) {
+  return static_cast<std::uint64_t>(seconds * 1e9 + 0.5);
+}
+
+double to_seconds(std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; }
+
 template <typename Cache>
 std::size_t cache_bytes(Cache& cache) {
   std::size_t total = 0;
@@ -114,6 +120,11 @@ SolveSession::Stats SolveSession::stats() const {
   stats.tables_dropped = tables_dropped_.load();
   stats.subtrees_sealed = subtrees_sealed_.load();
   stats.sealed_cells_injected = sealed_cells_injected_.load();
+  stats.phases.plan = to_seconds(phase_plan_ns_.load());
+  stats.phases.join = to_seconds(phase_join_ns_.load());
+  stats.phases.root = to_seconds(phase_root_ns_.load());
+  stats.phases.reconstruct = to_seconds(phase_reconstruct_ns_.load());
+  stats.phases.evaluate = to_seconds(phase_evaluate_ns_.load());
   return stats;
 }
 
@@ -121,13 +132,19 @@ void SolveSession::record_warm(std::uint64_t nodes_recomputed,
                                std::uint64_t nodes_reused,
                                std::uint64_t merge_steps,
                                std::uint64_t signatures_checked,
-                               std::uint64_t cells_skipped) {
+                               std::uint64_t cells_skipped,
+                               const PowerPhaseSeconds& phases) {
   warm_solves_.fetch_add(1);
   nodes_recomputed_.fetch_add(nodes_recomputed);
   nodes_reused_.fetch_add(nodes_reused);
   merge_steps_.fetch_add(merge_steps);
   signatures_checked_.fetch_add(signatures_checked);
   cells_skipped_.fetch_add(cells_skipped);
+  phase_plan_ns_.fetch_add(to_ns(phases.plan));
+  phase_join_ns_.fetch_add(to_ns(phases.join));
+  phase_root_ns_.fetch_add(to_ns(phases.root));
+  phase_reconstruct_ns_.fetch_add(to_ns(phases.reconstruct));
+  phase_evaluate_ns_.fetch_add(to_ns(phases.evaluate));
   enforce_budget();
 }
 

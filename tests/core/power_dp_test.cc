@@ -7,6 +7,7 @@
 #include "core/dp_update.h"
 #include "core/exhaustive.h"
 #include "model/placement.h"
+#include "tests/core/full_root_scan.h"
 #include "tests/core/test_instances.h"
 
 namespace treeplace {
@@ -192,6 +193,92 @@ INSTANTIATE_TEST_SUITE_P(
                       FrontierParam{6, 2, 3, 2.0, 2.0},
                       FrontierParam{5, 5, 3, 1.0, 2.5},
                       FrontierParam{7, 0, 1, 1.0, 2.0}));
+
+/// The exact engine's side of the near-tie fuzz: its make_candidate
+/// pricing over (n_w, e_{o,w}), copied operation for operation.
+testing::RootFuzzEngine exact_fuzz_engine(const ModeSet& modes,
+                                          const CostModel& costs) {
+  const int m = modes.count();
+  const auto dim_reused = [m](int o, int w) {
+    return static_cast<std::size_t>(m + o * m + w);
+  };
+  testing::RootFuzzEngine engine;
+  engine.dims = static_cast<std::size_t>(m + m * m);
+  engine.solve = [](const Topology& topo, const Scenario& scen,
+                    const ModeSet& ms, const CostModel& cm,
+                    const PowerDPOptions& options) {
+    return solve_power_exact(topo, scen, ms, cm, options);
+  };
+  engine.price = [m, modes, costs, dim_reused](const Scenario& scen) {
+    std::vector<int> pre_total(static_cast<std::size_t>(m), 0);
+    for (NodeId e : scen.pre_existing_nodes()) {
+      ++pre_total[static_cast<std::size_t>(scen.original_mode(e))];
+    }
+    return [m, modes, costs, dim_reused,
+            pre_total](const std::vector<int>& counts) {
+      testing::RootPrice p;
+      double cost = 0.0;
+      for (int w = 0; w < m; ++w) {
+        const int n_w = counts[static_cast<std::size_t>(w)];
+        p.servers += n_w;
+        cost += static_cast<double>(n_w) * costs.create(w);
+        p.power += static_cast<double>(n_w) * modes.power(w);
+      }
+      std::vector<int> reused(static_cast<std::size_t>(m), 0);
+      for (int o = 0; o < m; ++o) {
+        for (int w = 0; w < m; ++w) {
+          const int e_ow = counts[dim_reused(o, w)];
+          p.servers += e_ow;
+          reused[static_cast<std::size_t>(o)] += e_ow;
+          cost += static_cast<double>(e_ow) * costs.changed(o, w);
+          p.power += static_cast<double>(e_ow) * modes.power(w);
+        }
+      }
+      cost += static_cast<double>(p.servers);
+      for (int o = 0; o < m; ++o) {
+        const int deleted = pre_total[static_cast<std::size_t>(o)] -
+                            reused[static_cast<std::size_t>(o)];
+        cost += static_cast<double>(deleted) * costs.del(o);
+      }
+      p.cost = cost;
+      return p;
+    };
+  };
+  engine.root_dims = [dim_reused](const Topology& topo,
+                                  const Scenario& scen) {
+    return [dim_reused, &scen, root = topo.root()](int w) {
+      return std::vector<std::size_t>{
+          scen.pre_existing(root) ? dim_reused(scen.original_mode(root), w)
+                                  : static_cast<std::size_t>(w)};
+    };
+  };
+  return engine;
+}
+
+TEST(PowerDpTest, ParetoRootJoinMatchesFullRootScanOnNearTies) {
+  // The exact-engine twin of the symmetric fuzz (power_symmetric_test.cc):
+  // 300 `treeplace gen` trees, frontiers and witnesses bit-identical to
+  // the full root scan and the oracle, at 1 and 4 solver threads.  The
+  // general regime prices each mode and mode change differently; the
+  // near-tie regime gives distinct count vectors one real cost.
+  const std::vector<testing::RootFuzzConfig> configs = {
+      {"paper", ModeSet({5, 10}, 12.5, 3.0),
+       CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001)},
+      {"general", ModeSet({4, 9}, 2.0, 2.0),
+       CostModel({0.1, 0.3}, {0.05, 0.2}, {{0.0, 0.15}, {0.25, 0.0}})},
+      {"near-tie", ModeSet({4, 8}, 0.0, 1.0),
+       CostModel::uniform(2, 0.7, 0.3, 0.1, 0.1)},
+  };
+  testing::RootFuzzTally tally;
+  std::uint64_t seed = 620;
+  for (const testing::RootFuzzConfig& config : configs) {
+    testing::run_root_fuzz(exact_fuzz_engine(config.modes, config.costs),
+                           config, seed++, /*trees=*/100, /*max_nodes=*/14,
+                           /*oracle_nodes=*/8, tally);
+  }
+  EXPECT_GT(tally.near_ties, 0u) << "no rounding-level cost ties exercised";
+  EXPECT_GT(tally.oracle_trees, 20);
+}
 
 }  // namespace
 }  // namespace treeplace

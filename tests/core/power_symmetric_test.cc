@@ -6,6 +6,7 @@
 #include "core/power_dp.h"
 #include "model/placement.h"
 #include "support/check.h"
+#include "tests/core/full_root_scan.h"
 #include "tests/core/test_instances.h"
 
 namespace treeplace {
@@ -108,6 +109,113 @@ TEST(PowerSymmetricTest, MuchSmallerTablesThanExact) {
   const PowerDPResult sym = solve_power_symmetric(tree, modes, costs);
   ASSERT_TRUE(exact.feasible && sym.feasible);
   EXPECT_LT(sym.stats.table_cells, exact.stats.table_cells);
+}
+
+/// The symmetric engine's side of the near-tie fuzz: its make_candidate
+/// pricing over (m_0..m_{M-1}, e_same, e_changed), copied operation for
+/// operation.
+testing::RootFuzzEngine symmetric_fuzz_engine(const ModeSet& modes,
+                                              const CostModel& costs) {
+  const int m = modes.count();
+  testing::RootFuzzEngine engine;
+  engine.dims = static_cast<std::size_t>(m) + 2;
+  engine.solve = [](const Topology& topo, const Scenario& scen,
+                    const ModeSet& ms, const CostModel& cm,
+                    const PowerDPOptions& options) {
+    return solve_power_symmetric(topo, scen, ms, cm, options);
+  };
+  engine.price = [m, modes, costs](const Scenario& scen) {
+    const int e_total = static_cast<int>(scen.num_pre_existing());
+    return [m, modes, costs, e_total](const std::vector<int>& counts) {
+      testing::RootPrice p;
+      for (int w = 0; w < m; ++w) {
+        p.servers += counts[static_cast<std::size_t>(w)];
+        p.power += static_cast<double>(counts[static_cast<std::size_t>(w)]) *
+                   modes.power(w);
+      }
+      const int e_same = counts[static_cast<std::size_t>(m)];
+      const int e_changed = counts[static_cast<std::size_t>(m) + 1];
+      const int reused = e_same + e_changed;
+      const int created = p.servers - reused;
+      p.cost = static_cast<double>(p.servers) +
+               static_cast<double>(created) * costs.symmetric_create() +
+               static_cast<double>(e_same) * costs.symmetric_changed_same() +
+               static_cast<double>(e_changed) *
+                   costs.symmetric_changed_diff() +
+               static_cast<double>(e_total - reused) *
+                   costs.symmetric_delete();
+      return p;
+    };
+  };
+  engine.root_dims = [m](const Topology& topo, const Scenario& scen) {
+    return [m, &scen, root = topo.root()](int w) {
+      std::vector<std::size_t> dims{static_cast<std::size_t>(w)};
+      if (scen.pre_existing(root)) {
+        dims.push_back(static_cast<std::size_t>(m) +
+                       (w == scen.original_mode(root) ? 0 : 1));
+      }
+      return dims;
+    };
+  };
+  return engine;
+}
+
+TEST(PowerSymmetricTest, ParetoRootJoinMatchesFullRootScanOnNearTies) {
+  // The root join pairs only the operands' non-dominated cells; this
+  // sweeps 300 `treeplace gen` trees over three mode/cost regimes and
+  // demands the full root scan's frontier and witnesses bit for bit (and
+  // the exhaustive oracle's values on small trees).  The last regime
+  // makes distinct count vectors share a real cost: changed_same ==
+  // changed_diff prices a same-mode and a mode-changing reuse alike, and
+  // the non-dyadic prices round their sums apart by an ulp.
+  const std::vector<testing::RootFuzzConfig> configs = {
+      {"paper", ModeSet({5, 10}, 12.5, 3.0),
+       CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001)},
+      {"three-mode", ModeSet({4, 7, 12}, 2.0, 2.0),
+       CostModel::uniform(3, 0.5, 0.25, 0.125, 0.0)},
+      {"near-tie", ModeSet({4, 8}, 0.0, 1.0),
+       CostModel::uniform(2, 0.7, 0.3, 0.1, 0.1)},
+  };
+  testing::RootFuzzTally tally;
+  std::uint64_t seed = 610;
+  for (const testing::RootFuzzConfig& config : configs) {
+    testing::run_root_fuzz(symmetric_fuzz_engine(config.modes, config.costs),
+                           config, seed++, /*trees=*/100, /*max_nodes=*/20,
+                           /*oracle_nodes=*/8, tally);
+  }
+  EXPECT_GT(tally.near_ties, 0u) << "no rounding-level cost ties exercised";
+  EXPECT_GT(tally.oracle_trees, 20);
+}
+
+TEST(PowerSymmetricTest, CleanRootWithShedSnapshotsIsRebuilt) {
+  // The root keeps no folded table, so its root join always reads the
+  // operand slots; a budget that shed the root's slot snapshots must make
+  // the next solve rebuild the root even when nothing changed.
+  const ModeSet modes({5, 10}, 12.5, 3.0);
+  const CostModel costs = CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001);
+  const Tree tree = testing::make_gen_tree(630, 0, 24, 6, 2);
+  for (const bool exact : {false, true}) {
+    const PowerDPResult cold = exact
+                                   ? solve_power_exact(tree, modes, costs)
+                                   : solve_power_symmetric(tree, modes, costs);
+    ASSERT_TRUE(cold.feasible);
+    dp::PowerSubtreeCache cache;
+    PowerDPOptions options;
+    options.cache = &cache;
+    const auto solve = [&] {
+      return exact ? solve_power_exact(tree.topology(), tree.scenario(),
+                                       modes, costs, options)
+                   : solve_power_symmetric(tree.topology(), tree.scenario(),
+                                           modes, costs, options);
+    };
+    solve();
+    const std::size_t root = tree.topology().internal_index(tree.root());
+    cache.drop_snapshots(root);
+    const PowerDPResult again = solve();
+    EXPECT_EQ(again.stats.nodes_recomputed, 1u) << "exact=" << exact;
+    testing::expect_same_frontier(again.frontier, cold.frontier,
+                                  exact ? "exact" : "sym");
+  }
 }
 
 }  // namespace

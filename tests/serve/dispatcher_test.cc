@@ -4,6 +4,7 @@
 
 #include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "gen/preexisting.h"
@@ -149,6 +150,52 @@ TEST_F(DispatcherTest, SolverThrowResolvesWithError) {
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("symmetric"), std::string::npos);
   EXPECT_EQ(dispatcher.stats().per_solver[0].errors, 1u);
+}
+
+/// Work counters of `count` warm solves submitted back to back through
+/// one session: a warm solve's work depends on the scenario its session
+/// saw last, so it pins the order the solves actually ran in.
+std::vector<std::uint64_t> session_work_stream(
+    const std::shared_ptr<const Topology>& topo, const Scenario& base,
+    std::size_t threads, std::size_t count) {
+  DispatcherConfig config;
+  config.algos = {"update-dp"};
+  config.threads = threads;
+  SolveDispatcher dispatcher(config);
+  const auto session = std::make_shared<SolveSession>(topo);
+  std::vector<std::future<ServeResult>> futures;
+  std::vector<std::uint64_t> work(count);
+  std::vector<std::promise<ServeResult>> reserved(count / 2);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i % 2 == 0) {
+      futures.push_back(
+          dispatcher.submit(0, make_instance(topo, base, i % 7), session));
+      continue;
+    }
+    // Odd requests take the event-loop path; spin for a slot like the
+    // network server's backpressure retry.
+    while (!dispatcher.try_reserve_slot()) std::this_thread::yield();
+    std::promise<ServeResult>& done = reserved[i / 2];
+    futures.push_back(done.get_future());
+    dispatcher.submit_reserved(
+        0, make_instance(topo, base, i % 7), session, {},
+        [&done](ServeResult result) { done.set_value(std::move(result)); });
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    const ServeResult result = futures[i].get();
+    EXPECT_TRUE(result.ok && result.warm) << result.error;
+    work[i] = result.solution.stats.work;
+  }
+  return work;
+}
+
+TEST_F(DispatcherTest, SameSessionWarmSolvesRunInSubmissionOrder) {
+  const auto topo = tree_.topology_ptr();
+  const Scenario base = tree_.scenario();
+  constexpr std::size_t kRequests = 400;
+  const std::vector<std::uint64_t> serial =
+      session_work_stream(topo, base, 1, kRequests);
+  EXPECT_EQ(session_work_stream(topo, base, 8, kRequests), serial);
 }
 
 TEST_F(DispatcherTest, SolverThreadsOptionPropagates) {

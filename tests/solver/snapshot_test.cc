@@ -585,6 +585,46 @@ TEST(SessionSnapshotTest, WrongVersionRejected) {
   rig.expect_untouched_and_usable(session);
 }
 
+TEST(SessionSnapshotTest, PreviousVersionRejectedWholeAndColdStarts) {
+  // A version-2 file (written while the power DPs still stored the root's
+  // folded table and root slot) must be refused outright, CRC intact, and
+  // the session must then cold-start to the live session's frontier.
+  Tree tree = make_fuzz_tree(95, 0, 16);
+  const ModeSet modes({5, 10}, 12.5, 3.0);
+  const CostModel costs = CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001);
+  const Instance instance{tree.topology_ptr(), tree.scenario(), modes, costs,
+                          std::nullopt};
+  const auto solver = make_solver("power-sym");
+  SolveSession live(tree.topology_ptr());
+  const Solution warm = solver->solve(SolveRequest{instance, {}, &live});
+  std::string old = save_to_bytes(live);
+  ASSERT_GT(old.size(), 16u);
+  old[8] = 2;  // the u32 version field follows the 8-byte magic
+  const std::uint32_t crc = binio::crc32_update(0, old.data(), old.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    old[old.size() - 4 + static_cast<std::size_t>(i)] =
+        static_cast<char>(crc >> (8 * i));
+  }
+
+  SolveSession restored(tree.topology_ptr());
+  try {
+    restore_from_bytes(restored, old);
+    ADD_FAILURE() << "a version-2 snapshot was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("snapshot version 2"),
+              std::string::npos)
+        << e.what();
+  }
+  const Solution cold_start =
+      solver->solve(SolveRequest{instance, {}, &restored});
+  expect_identical(cold_start, warm, "cold start after a v2 snapshot");
+  expect_identical(cold_start, solver->solve(instance),
+                   "cold start vs one-shot solve");
+  const SolveSession::Stats stats = restored.stats();
+  EXPECT_EQ(stats.nodes_recomputed, tree.num_internal());
+  EXPECT_EQ(stats.nodes_reused, 0u);
+}
+
 TEST(SessionSnapshotTest, WrongMagicRejected) {
   RejectionRig rig;
   std::string bad = rig.bytes;
