@@ -20,8 +20,8 @@
 //   * the large configuration's compact() must cut resident bytes >= 2x.
 //
 // The JSON written for the CI bench-diff gate contains only deterministic
-// columns (delta counts, DP work, lazy-join splice counters, the gate
-// flags); throughput, latency, phase and byte columns stay in the
+// columns (delta counts, DP work, lazy-join splice counters, the root
+// join's scan work, the gate flags); throughput, latency, phase and byte columns stay in the
 // CSV/stdout.
 // Knobs: TREEPLACE_DAY_USERS / TREEPLACE_DAY_TICKS / TREEPLACE_DAY_INTERNAL
 // override the big configuration, --out DIR / TREEPLACE_BENCH_DIR route
@@ -70,6 +70,7 @@ struct DayResult {
   std::size_t agg_deltas = 0;   ///< records after map_deltas folding
   std::uint64_t warm_work = 0;
   std::uint64_t cells_skipped = 0;
+  std::uint64_t root_scan_work = 0;  ///< root-join scan work, warm ticks
   double cold_seconds = 0.0;  ///< the one priming solve
   double warm_seconds = 0.0;  ///< sum over all ticks
   double p50_ms = 0.0;
@@ -136,6 +137,7 @@ DayResult run_day(const DayConfig& config) {
   }
   const std::uint64_t primed_work = primed.stats.work;
   const std::uint64_t skipped_base = session.stats().cells_skipped;
+  const std::uint64_t root_scan_base = session.stats().root_scan_work;
   const PowerPhaseSeconds phases_base = session.stats().phases;
 
   DiurnalConfig diurnal;
@@ -177,12 +179,9 @@ DayResult run_day(const DayConfig& config) {
   }
   r.warm_work += primed_work;  // the chain includes its priming solve
   r.cells_skipped = session.stats().cells_skipped - skipped_base;
+  r.root_scan_work = session.stats().root_scan_work - root_scan_base;
   r.phases = session.stats().phases;
-  r.phases.plan -= phases_base.plan;
-  r.phases.join -= phases_base.join;
-  r.phases.root -= phases_base.root;
-  r.phases.reconstruct -= phases_base.reconstruct;
-  r.phases.evaluate -= phases_base.evaluate;
+  r.phases -= phases_base;
   r.p50_ms = percentile_ms(latencies, 0.50);
   r.p99_ms = percentile_ms(latencies, 0.99);
   r.unpacked_bytes = session.resident_bytes();
@@ -214,7 +213,8 @@ void add_result(Table& table, Table& gate, const DayConfig& config,
                  static_cast<std::int64_t>(r.user_deltas),
                  static_cast<std::int64_t>(r.agg_deltas),
                  static_cast<std::int64_t>(r.warm_work),
-                 static_cast<std::int64_t>(r.cells_skipped), scen_per_sec,
+                 static_cast<std::int64_t>(r.cells_skipped),
+                 static_cast<std::int64_t>(r.root_scan_work), scen_per_sec,
                  r.p50_ms, r.p99_ms, r.phases.plan * per_tick,
                  r.phases.join * per_tick, r.phases.root * per_tick,
                  r.phases.reconstruct * per_tick,
@@ -229,6 +229,7 @@ void add_result(Table& table, Table& gate, const DayConfig& config,
                 static_cast<std::int64_t>(r.agg_deltas),
                 static_cast<std::int64_t>(r.warm_work),
                 static_cast<std::int64_t>(r.cells_skipped),
+                static_cast<std::int64_t>(r.root_scan_work),
                 static_cast<std::int64_t>(r.subtrees_sealed), identical,
                 pack_ok});
 }
@@ -276,14 +277,15 @@ int main(int argc, char** argv) {
   };
 
   Table table({"config", "users", "ticks", "user_deltas", "agg_deltas",
-               "warm_work", "cells_skipped", "scen_per_sec", "p50_ms",
+               "warm_work", "cells_skipped", "root_scan", "scen_per_sec",
+               "p50_ms",
                "p99_ms", "plan_ms", "join_ms", "root_ms", "recon_ms",
                "eval_ms", "peak_mb", "packed_mb", "pack_ratio",
                "subtrees_sealed", "identical", "pack_ok"});
   table.set_title("Simulated day over a warm serving session");
   Table gate({"config", "users", "ticks", "user_deltas", "agg_deltas",
-              "warm_work", "cells_skipped", "subtrees_sealed", "identical",
-              "pack_ok"});
+              "warm_work", "cells_skipped", "root_scan", "subtrees_sealed",
+              "identical", "pack_ok"});
   gate.set_title("day_serve (deterministic columns)");
 
   Stopwatch total;

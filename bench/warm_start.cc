@@ -13,7 +13,9 @@
 // small fraction of cold work even on one core.
 //
 // The JSON written for the CI bench-diff gate contains only deterministic
-// columns (work counters, node reuse counts, identity flags); timings stay
+// columns (work counters — root_scan is the power engines' root-join scan
+// work, PowerSolveStats::root_scan_work — node reuse counts, identity
+// flags); timings stay
 // in the CSV/stdout, including the warm solves' phase split (plan, join,
 // root, reconstruct, evaluate — summed PowerPhaseSeconds, power engines
 // only).  Knobs: TREEPLACE_WARM_STEPS overrides the steps per
@@ -125,6 +127,7 @@ struct ChainResult {
   std::uint64_t nodes_recomputed = 0;
   std::uint64_t nodes_reused = 0;
   std::uint64_t cells_skipped = 0;
+  std::uint64_t root_scan_work = 0;  ///< power engines' root-join scan
   double cold_seconds = 0.0;
   double warm_seconds = 0.0;
   PowerPhaseSeconds warm_phases;  ///< summed over the chain's warm solves
@@ -183,12 +186,9 @@ ChainResult run_chain(const Config& config, const DeltaSize& delta,
   r.nodes_recomputed = stats.nodes_recomputed - primed.nodes_recomputed;
   r.nodes_reused = stats.nodes_reused - primed.nodes_reused;
   r.cells_skipped = stats.cells_skipped - primed.cells_skipped;
+  r.root_scan_work = stats.root_scan_work - primed.root_scan_work;
   r.warm_phases = stats.phases;
-  r.warm_phases.plan -= primed.phases.plan;
-  r.warm_phases.join -= primed.phases.join;
-  r.warm_phases.root -= primed.phases.root;
-  r.warm_phases.reconstruct -= primed.phases.reconstruct;
-  r.warm_phases.evaluate -= primed.phases.evaluate;
+  r.warm_phases -= primed.phases;
   return r;
 }
 
@@ -211,7 +211,8 @@ void add_result(Table& table, Table& gate, const std::string& algo,
                  static_cast<std::int64_t>(r.warm_work), ratio,
                  static_cast<std::int64_t>(r.nodes_recomputed),
                  static_cast<std::int64_t>(r.nodes_reused),
-                 static_cast<std::int64_t>(r.cells_skipped), r.cold_seconds,
+                 static_cast<std::int64_t>(r.cells_skipped),
+                 static_cast<std::int64_t>(r.root_scan_work), r.cold_seconds,
                  r.warm_seconds, speedup, ph.plan * 1e3, ph.join * 1e3,
                  ph.root * 1e3, ph.reconstruct * 1e3, ph.evaluate * 1e3,
                  identical});
@@ -220,7 +221,8 @@ void add_result(Table& table, Table& gate, const std::string& algo,
                 static_cast<std::int64_t>(r.warm_work),
                 static_cast<std::int64_t>(r.nodes_recomputed),
                 static_cast<std::int64_t>(r.nodes_reused),
-                static_cast<std::int64_t>(r.cells_skipped), identical});
+                static_cast<std::int64_t>(r.cells_skipped),
+                static_cast<std::int64_t>(r.root_scan_work), identical});
 }
 
 }  // namespace
@@ -240,13 +242,14 @@ int main(int argc, char** argv) {
 
   Table table({"solver", "instance", "steps", "cold_work", "warm_work",
                "work_ratio", "nodes_recomputed", "nodes_reused",
-               "cells_skipped", "cold_s", "warm_s", "speedup", "plan_ms",
+               "cells_skipped", "root_scan", "cold_s", "warm_s", "speedup",
+               "plan_ms",
                "join_ms", "root_ms", "recon_ms", "eval_ms", "identical"});
   table.set_title("Warm vs. cold re-solves (" + std::to_string(steps) +
                   " delta steps per row)");
   Table gate({"solver", "instance", "steps", "cold_work", "warm_work",
               "nodes_recomputed", "nodes_reused", "cells_skipped",
-              "identical"});
+              "root_scan", "identical"});
   gate.set_title("warm_start (deterministic columns)");
 
   Stopwatch total;

@@ -655,6 +655,39 @@ inline SlotDirtiness plan_slot_dirtiness(const DirtyPlan& plan,
   return slots;
 }
 
+/// Whether a lazy join (see dp::join_slots) is sure to visit fewer pairs
+/// than the full join it replaces, given the operands' changed-cell
+/// counts.  The lazy path's worst case is its changed sweeps plus a rescue
+/// pass that re-scans every left entry per rescued cell.  Rescued cells
+/// are capped at |right| / 8 + 16, and each one's previous winner paired
+/// a changed cell, so there are at most cl x (|right| + cr) + |left| x cr
+/// of them.  The full join counts |left| x |right box| pairs when it
+/// sweeps the right operand densely, |left| x |right| otherwise.  On
+/// small tables the cap's floor alone can exceed the full join, so
+/// without this check a warm solve of a small tree could do more DP work
+/// than its cold twin.  The power engines ask before offering a lazy
+/// context.
+inline bool lazy_join_pays(const JoinInputs& in, std::size_t changed_left,
+                           std::size_t changed_right) {
+  const auto valid = [](std::span<const RequestCount> flow) {
+    return static_cast<std::uint64_t>(
+        flow.size() - static_cast<std::size_t>(
+                          std::count(flow.begin(), flow.end(), kInvalidFlow)));
+  };
+  const std::uint64_t nl = valid(in.lflow);
+  const std::uint64_t nr = valid(in.rflow);
+  const std::uint64_t cl = changed_left;
+  const std::uint64_t cr = changed_right;
+  const std::uint64_t rescued =
+      std::min<std::uint64_t>(nr / 8 + 16, cl * (nr + cr) + nl * cr);
+  const std::uint64_t lazy_worst = cl * nr + nl * cr + cl * cr + rescued * nl;
+  const std::uint64_t rsize = in.rflow.size();
+  const bool dense = static_cast<double>(nr) >=
+                     kernel_config().dense_occupancy *
+                         static_cast<double>(rsize);
+  return lazy_worst < nl * (dense ? rsize : nr);
+}
+
 /// Internal nodes a delta span can touch: the parent of an edited client,
 /// the node of a pre-existing edit.  nullopt when the span contains an
 /// edit that cannot be attributed to specific nodes (kClearAllPre, an

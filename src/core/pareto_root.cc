@@ -1,6 +1,7 @@
 #include "core/pareto_root.h"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 #include <utility>
 
@@ -25,7 +26,7 @@ bool dominates(const RootCell& a, const RootCell& b, double cost_tol,
 /// elements whatever the scan order.
 void pareto_cells(const Box& box, std::span<const RequestCount> flow,
                   const Box& root_box, const RootPricing& pricing,
-                  std::vector<RootCell>& out) {
+                  std::vector<RootCell>& out, std::uint64_t& scan_work) {
   const std::size_t dims = box.dims();
   const std::size_t groups = pricing.group_cost.size();
   TREEPLACE_DCHECK(root_box.dims() == dims && flow.size() == box.size() &&
@@ -67,13 +68,16 @@ void pareto_cells(const Box& box, std::span<const RequestCount> flow,
         cell.cost += static_cast<double>(sums[g]) * pricing.group_cost[g];
         cell.cost_key += sums[g] * key_weight[g];
       }
+      const auto beats = [&](const RootCell& a, const RootCell& b) {
+        ++scan_work;
+        return dominates(a, b, pricing.cost_tol, pricing.power_tol);
+      };
       bool dominated = false;
-      if (last_hit < out.size() &&
-          dominates(out[last_hit], cell, pricing.cost_tol, pricing.power_tol)) {
+      if (last_hit < out.size() && beats(out[last_hit], cell)) {
         dominated = true;
       } else {
         for (std::size_t k = 0; k < out.size(); ++k) {
-          if (dominates(out[k], cell, pricing.cost_tol, pricing.power_tol)) {
+          if (beats(out[k], cell)) {
             dominated = true;
             last_hit = k;
             break;
@@ -81,9 +85,8 @@ void pareto_cells(const Box& box, std::span<const RequestCount> flow,
         }
       }
       if (!dominated) {
-        std::erase_if(out, [&](const RootCell& kept) {
-          return dominates(cell, kept, pricing.cost_tol, pricing.power_tol);
-        });
+        std::erase_if(out,
+                      [&](const RootCell& kept) { return beats(cell, kept); });
         out.push_back(cell);
       }
     }
@@ -92,6 +95,7 @@ void pareto_cells(const Box& box, std::span<const RequestCount> flow,
       digits[d] = 0;
     }
   }
+  scan_work += box.size();
   std::sort(out.begin(), out.end(), [](const RootCell& a, const RootCell& b) {
     return a.flat < b.flat;
   });
@@ -112,13 +116,40 @@ Box root_box(const PowerNodeState& s, const RootOperands& ops,
 
 void root_operand_cells(const PowerNodeState& s, std::uint32_t slot,
                         const Box& root_box, const RootPricing& pricing,
-                        std::vector<RootCell>& out) {
+                        std::vector<RootCell>& out, std::uint64_t& scan_work) {
   if (slot == RootOperands::kNoSlot) {
     out.assign(1, RootCell{});
     return;
   }
   pareto_cells(s.slot_boxes[slot], s.slot_flows[slot].span(), root_box,
-               pricing, out);
+               pricing, out, scan_work);
+}
+
+std::vector<RootCandidate> select_root_frontier(
+    std::vector<RootCandidate> candidates) {
+  std::sort(candidates.begin(), candidates.end(),
+            [](const RootCandidate& a, const RootCandidate& b) {
+              if (a.cost != b.cost) return a.cost < b.cost;
+              if (a.power != b.power) return a.power < b.power;
+              if (a.servers != b.servers) return a.servers < b.servers;
+              if (a.flat != b.flat) return a.flat < b.flat;
+              if (a.root_mode != b.root_mode) return a.root_mode < b.root_mode;
+              if (a.flow != b.flow) return a.flow < b.flow;
+              if (a.left != b.left) return a.left < b.left;
+              return a.right < b.right;
+            });
+  constexpr double kEps = 1e-9;
+  std::vector<RootCandidate> swept;
+  for (const RootCandidate& c : candidates) {
+    if (swept.empty() || c.power < swept.back().power - kEps) {
+      if (!swept.empty() && std::fabs(c.cost - swept.back().cost) <= kEps) {
+        swept.back() = c;
+      } else {
+        swept.push_back(c);
+      }
+    }
+  }
+  return swept;
 }
 
 }  // namespace treeplace::dp

@@ -28,11 +28,20 @@
 // only when it is worse by more than the tolerance in *both* criteria.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/dp_cache.h"
 #include "core/dp_util.h"
+#include "core/power_common.h"
+#include "model/cost.h"
+#include "model/modes.h"
+#include "model/placement.h"
+#include "support/timer.h"
+#include "tree/scenario.h"
+#include "tree/topology.h"
 
 namespace treeplace::dp {
 
@@ -107,10 +116,134 @@ Box root_box(const PowerNodeState& s, const RootOperands& ops,
 /// The non-dominated valid cells of one operand slot of the root's state
 /// (kNoSlot: the single empty cell), in ascending flat order.  Cell a'
 /// dominates a when a'.flow <= a.flow, a'.power < a.power - power_tol,
-/// and a'.cost < a.cost - cost_tol or the two share a cost key.
+/// and a'.cost < a.cost - cost_tol or the two share a cost key.  Adds the
+/// scan's work — operand cells visited plus dominance tests run — to
+/// `scan_work`.
 void root_operand_cells(const PowerNodeState& s, std::uint32_t slot,
                         const Box& root_box, const RootPricing& pricing,
-                        std::vector<RootCell>& out);
+                        std::vector<RootCell>& out, std::uint64_t& scan_work);
+
+/// One candidate of the root join: a feasible pair of kept operand cells
+/// completed by one of the root's own options.
+struct RootCandidate {
+  double cost = 0.0;
+  double power = 0.0;
+  std::uint32_t flat = 0;      ///< the pair's cell in the root box
+  std::int8_t root_mode = -1;  ///< -1: no server at root
+  int servers = 0;
+  RequestCount flow = 0;   ///< open flow at the root, client mass folded
+  std::uint32_t left = 0;  ///< operand cells (see RootOperands)
+  std::uint32_t right = 0;
+};
+
+/// Pairs every kept left cell with every kept right cell under the W_M
+/// cut, with the root's client mass `base` folded in, and expands each
+/// feasible pair into the root's own options: no server (only when the
+/// folded flow is 0) and a server at every mode that can carry it.
+/// `add_root_server(counts, w)` bumps the count-vector dimensions of a
+/// root server at mode w; `price(counts, flat, w)` is the engine's
+/// make_candidate (cost, power, servers, flat and root mode filled).
+/// Counts the pairs visited into `pairs`.
+template <typename AddRootServer, typename Price>
+std::vector<RootCandidate> pair_root_cells(std::span<const RootCell> left,
+                                           std::span<const RootCell> right,
+                                           const Box& root_box,
+                                           RequestCount base,
+                                           const ModeSet& modes,
+                                           std::uint64_t& pairs,
+                                           AddRootServer&& add_root_server,
+                                           Price&& price) {
+  const RequestCount w_max = modes.max_capacity();
+  std::vector<RootCandidate> candidates;
+  std::vector<int> digits(root_box.dims());
+  std::vector<int> counts(root_box.dims());
+  for (const RootCell& a : left) {
+    for (const RootCell& b : right) {
+      ++pairs;
+      const RequestCount joined = a.flow + b.flow;
+      if (joined > w_max || joined + base > w_max) continue;
+      const RequestCount f = joined + base;
+      const std::size_t flat = static_cast<std::size_t>(a.dot + b.dot);
+      root_box.decode(flat, digits);
+      const auto add = [&](std::int8_t w) {
+        RootCandidate c = price(counts, flat, w);
+        c.flow = f;
+        c.left = a.flat;
+        c.right = b.flat;
+        candidates.push_back(c);
+      };
+      if (f == 0) {
+        counts.assign(digits.begin(), digits.end());
+        add(-1);
+      }
+      for (int w = modes.mode_for_load(f); w < modes.count(); ++w) {
+        counts.assign(digits.begin(), digits.end());
+        add_root_server(counts, w);
+        add(static_cast<std::int8_t>(w));
+      }
+    }
+  }
+  return candidates;
+}
+
+/// Sorts the candidates and sweeps out the Pareto frontier: ascending
+/// cost, strictly descending power (1e-9 margins), the comparator-first
+/// candidate kept on ties.  The comparator ends on the flat the full root
+/// table would have used, then (flow, left cell, right cell) — the join
+/// kernel's min-flow, first-occurrence winner — so the witness of every
+/// point is the one a full root scan would choose.
+std::vector<RootCandidate> select_root_frontier(
+    std::vector<RootCandidate> candidates);
+
+/// Walks a root candidate's operand cells: walk(slot, flat) for the left
+/// operand and, when the root has one, the right.  A childless root has
+/// nothing to walk.
+template <typename WalkSlot>
+void walk_root_operands(const MergePlan& mplan, const RootCandidate& c,
+                        WalkSlot&& walk) {
+  const RootOperands ops = root_operands(mplan);
+  if (ops.left == RootOperands::kNoSlot) return;
+  walk(ops.left, c.left);
+  if (ops.right != RootOperands::kNoSlot) walk(ops.right, c.right);
+}
+
+/// Turns the chosen candidates into frontier points: `reconstruct(c,
+/// placement)` fills the placement (root server included), which is then
+/// re-priced by the evaluator.  A contracted solve's placement names
+/// original ids its own topology cannot price, so it keeps the
+/// candidate's values and the caller re-prices on the original instance
+/// (the exact calls the uncontracted solve makes, so the doubles land
+/// bit-identical).
+/// Times the two steps into `phases`.
+template <typename Reconstruct>
+void emit_root_frontier(std::span<const RootCandidate> chosen,
+                        const Topology& topo, const Scenario& scen,
+                        const ModeSet& modes, const CostModel& costs,
+                        bool contracted, Reconstruct&& reconstruct,
+                        PowerDPResult& result, PowerPhaseSeconds& phases) {
+  if (chosen.empty()) return;
+  result.feasible = true;
+  result.frontier.reserve(chosen.size());
+  for (const RootCandidate& c : chosen) {
+    Stopwatch phase;
+    PowerParetoPoint point;
+    reconstruct(c, point.placement);
+    phases.reconstruct += phase.seconds();
+    phase.reset();
+    if (contracted) {
+      point.cost = c.cost;
+      point.power = c.power;
+    } else {
+      point.breakdown = evaluate_cost(topo, scen, point.placement, costs);
+      point.cost = point.breakdown.cost;
+      point.power = total_power(point.placement, modes);
+      TREEPLACE_DCHECK(std::fabs(point.cost - c.cost) < 1e-6);
+      TREEPLACE_DCHECK(std::fabs(point.power - c.power) < 1e-6);
+    }
+    phases.evaluate += phase.seconds();
+    result.frontier.push_back(std::move(point));
+  }
+}
 
 /// The pruning tolerance for one criterion: 1e-6 absolute, widened to
 /// cover rounding when `scale` — a bound on the summed magnitudes of every

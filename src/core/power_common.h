@@ -6,6 +6,7 @@
 // query is then a binary search; MinPower is the frontier's last point.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -30,7 +31,28 @@ struct PowerPhaseSeconds {
   double root = 0.0;         ///< root join and Pareto frontier selection
   double reconstruct = 0.0;  ///< decision walks of the frontier points
   double evaluate = 0.0;     ///< re-pricing the frontier placements
+
+  PowerPhaseSeconds& operator+=(const PowerPhaseSeconds& other);
+  PowerPhaseSeconds& operator-=(const PowerPhaseSeconds& other);
 };
+
+/// Every PowerPhaseSeconds field, for code that treats the phases alike.
+inline constexpr std::array<double PowerPhaseSeconds::*, 5> kPowerPhases{
+    &PowerPhaseSeconds::plan, &PowerPhaseSeconds::join,
+    &PowerPhaseSeconds::root, &PowerPhaseSeconds::reconstruct,
+    &PowerPhaseSeconds::evaluate};
+
+inline PowerPhaseSeconds& PowerPhaseSeconds::operator+=(
+    const PowerPhaseSeconds& other) {
+  for (const auto field : kPowerPhases) this->*field += other.*field;
+  return *this;
+}
+
+inline PowerPhaseSeconds& PowerPhaseSeconds::operator-=(
+    const PowerPhaseSeconds& other) {
+  for (const auto field : kPowerPhases) this->*field -= other.*field;
+  return *this;
+}
 
 struct PowerSolveStats {
   std::uint64_t merge_pairs = 0;   ///< (left entry, right entry) pairs visited
@@ -49,6 +71,10 @@ struct PowerSolveStats {
   /// Output cells spliced from snapshots by lazy root-path joins instead
   /// of being recomputed (see core/merge_kernel.h).
   std::uint64_t cells_skipped = 0;
+  /// Operand cells the root join's Pareto scan visited plus the dominance
+  /// tests it ran (core/pareto_root.h): the root phase's work, which
+  /// merge_pairs (its kept-pair products only) does not see.
+  std::uint64_t root_scan_work = 0;
   /// Arena bytes holding flow/decision tables at the end of the solve.
   std::uint64_t table_bytes = 0;
   double solve_seconds = 0.0;

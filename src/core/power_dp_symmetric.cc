@@ -26,17 +26,7 @@ using NodeState = dp::PowerNodeState;
 /// Per-slot warm-diff state; see the exact DP (power_dp.cc).
 enum class SlotDiff : std::uint8_t { kClean, kChanged, kUnknown };
 
-/// One root option over one root-join pair; see the exact DP's Candidate.
-struct Candidate {
-  double cost = 0.0;
-  double power = 0.0;
-  std::uint32_t flat = 0;
-  std::int8_t root_mode = -1;
-  int servers = 0;
-  RequestCount flow = 0;
-  std::uint32_t left = 0;
-  std::uint32_t right = 0;
-};
+using dp::RootCandidate;
 
 class SymmetricPowerSolver {
  public:
@@ -86,9 +76,15 @@ class SymmetricPowerSolver {
     }
     phases_.join = phase.seconds();
     phase.reset();
-    const std::vector<Candidate> chosen = select_frontier(root_join());
+    const std::vector<RootCandidate> chosen =
+        dp::select_root_frontier(root_join());
     phases_.root = phase.seconds();
-    emit_frontier(chosen, result);
+    dp::emit_root_frontier(
+        chosen, topo_, scen_, modes_, costs_, contraction_ != nullptr,
+        [this](const RootCandidate& c, Placement& placement) {
+          reconstruct_root(c, placement);
+        },
+        result, phases_);
     finish_stats(result, watch);
     return result;
   }
@@ -119,6 +115,7 @@ class SymmetricPowerSolver {
     result.stats.nodes_reused = nodes_reused_;
     result.stats.signatures_checked = signatures_checked_;
     result.stats.cells_skipped = cells_skipped_;
+    result.stats.root_scan_work = root_scan_work_;
     result.stats.table_bytes = arena_->used_bytes();
     result.stats.solve_seconds = watch.seconds();
     result.stats.phases = phases_;
@@ -318,7 +315,10 @@ class SymmetricPowerSolver {
         }
         lazy.old_flow = old_flow.span();
         lazy.old_dec = s.slot_decisions[out].span();
-        lazy_ptr = &lazy;
+        if (dp::lazy_join_pays(in, lazy.changed_left.size(),
+                               lazy.changed_right.size())) {
+          lazy_ptr = &lazy;
+        }
       }
     }
 
@@ -354,7 +354,7 @@ class SymmetricPowerSolver {
   }
 
   /// The root join (core/pareto_root.h); see the exact DP's root_join.
-  std::vector<Candidate> root_join() {
+  std::vector<RootCandidate> root_join() {
     const NodeId root = topo_.root();
     const std::size_t ri = topo_.internal_index(root);
     if (cache_ != nullptr) cache_->ensure_unpacked(ri);
@@ -390,50 +390,28 @@ class SymmetricPowerSolver {
         (1.0 + std::fabs(create_) + std::fabs(changed_same_) +
          std::fabs(changed_diff_) + std::fabs(delete_)));
     pricing.power_tol = dp::near_tie_tolerance(units * max_power);
-    dp::root_operand_cells(s, ops.left, rbox, pricing, root_left_);
-    dp::root_operand_cells(s, ops.right, rbox, pricing, root_right_);
+    dp::root_operand_cells(s, ops.left, rbox, pricing, root_left_,
+                           root_scan_work_);
+    dp::root_operand_cells(s, ops.right, rbox, pricing, root_right_,
+                           root_scan_work_);
 
     const bool root_pre = scen_.pre_existing(root);
     const int root_orig = root_pre ? scen_.original_mode(root) : -1;
-    const RequestCount base = scen_.client_mass(root);
-    const RequestCount w_max = modes_.max_capacity();
-    std::vector<Candidate> candidates;
-    std::vector<int> digits(dims_);
-    std::vector<int> counts(dims_);
-    for (const dp::RootCell& a : root_left_) {
-      for (const dp::RootCell& b : root_right_) {
-        ++merge_pairs_;
-        const RequestCount joined = a.flow + b.flow;
-        if (joined > w_max || joined + base > w_max) continue;
-        const RequestCount f = joined + base;
-        const std::size_t flat = static_cast<std::size_t>(a.dot + b.dot);
-        rbox.decode(flat, digits);
-        const auto add = [&](std::int8_t w) {
-          Candidate c = make_candidate(counts, flat, w);
-          c.flow = f;
-          c.left = a.flat;
-          c.right = b.flat;
-          candidates.push_back(c);
-        };
-        if (f == 0) {
-          counts.assign(digits.begin(), digits.end());
-          add(-1);
-        }
-        for (int w = modes_.mode_for_load(f); w < m_; ++w) {
-          counts.assign(digits.begin(), digits.end());
+    return dp::pair_root_cells(
+        root_left_, root_right_, rbox, scen_.client_mass(root), modes_,
+        merge_pairs_,
+        [&](std::vector<int>& counts, int w) {
           counts[dim_mode(w)] += 1;
           if (root_pre) {
             counts[w == root_orig ? dim_same() : dim_changed()] += 1;
           }
-          add(static_cast<std::int8_t>(w));
-        }
-      }
-    }
-    return candidates;
+        },
+        [this](const std::vector<int>& counts, std::size_t flat,
+               std::int8_t w) { return make_candidate(counts, flat, w); });
   }
 
-  Candidate make_candidate(const std::vector<int>& counts, std::size_t flat,
-                           std::int8_t root_mode) const {
+  RootCandidate make_candidate(const std::vector<int>& counts,
+                               std::size_t flat, std::int8_t root_mode) const {
     int servers = 0;
     double power = 0.0;
     for (int w = 0; w < m_; ++w) {
@@ -455,87 +433,23 @@ class SymmetricPowerSolver {
                         static_cast<double>(e_same) * changed_same_ +
                         static_cast<double>(e_changed) * changed_diff_ +
                         static_cast<double>(e_total - reused) * delete_;
-    return Candidate{cost, power, static_cast<std::uint32_t>(flat), root_mode,
-                     servers};
+    return RootCandidate{cost, power, static_cast<std::uint32_t>(flat),
+                         root_mode, servers};
   }
 
-  /// Sorts the candidates and sweeps out the Pareto frontier: ascending
-  /// cost, strictly descending power, the comparator-first candidate kept
-  /// on ties.
-  static std::vector<Candidate> select_frontier(
-      std::vector<Candidate> candidates) {
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) {
-                if (a.cost != b.cost) return a.cost < b.cost;
-                if (a.power != b.power) return a.power < b.power;
-                if (a.servers != b.servers) return a.servers < b.servers;
-                if (a.flat != b.flat) return a.flat < b.flat;
-                if (a.root_mode != b.root_mode) {
-                  return a.root_mode < b.root_mode;
-                }
-                if (a.flow != b.flow) return a.flow < b.flow;
-                if (a.left != b.left) return a.left < b.left;
-                return a.right < b.right;
-              });
-    constexpr double kEps = 1e-9;
-    std::vector<Candidate> swept;
-    for (const Candidate& c : candidates) {
-      if (swept.empty() || c.power < swept.back().power - kEps) {
-        if (!swept.empty() && std::fabs(c.cost - swept.back().cost) <= kEps) {
-          swept.back() = c;
-        } else {
-          swept.push_back(c);
-        }
-      }
-    }
-    return swept;
-  }
-
-  /// Reconstructs and prices each chosen candidate into a frontier point.
-  void emit_frontier(const std::vector<Candidate>& chosen,
-                     PowerDPResult& result) {
-    if (chosen.empty()) return;
-    result.feasible = true;
-    result.frontier.reserve(chosen.size());
-    for (const Candidate& c : chosen) {
-      Stopwatch phase;
-      PowerParetoPoint point;
-      if (c.root_mode >= 0) {
-        point.placement.add(out_id(topo_.root()), c.root_mode);
-      }
-      reconstruct_root(c, point.placement);
-      phases_.reconstruct += phase.seconds();
-      phase.reset();
-      if (contraction_ != nullptr) {
-        // Original-id placement over a contracted topo/scen: the caller
-        // re-prices every point on the original instance.
-        point.cost = c.cost;
-        point.power = c.power;
-      } else {
-        point.breakdown = evaluate_cost(topo_, scen_, point.placement, costs_);
-        point.cost = point.breakdown.cost;
-        point.power = total_power(point.placement, modes_);
-        TREEPLACE_DCHECK(std::fabs(point.cost - c.cost) < 1e-6);
-        TREEPLACE_DCHECK(std::fabs(point.power - c.power) < 1e-6);
-      }
-      phases_.evaluate += phase.seconds();
-      result.frontier.push_back(std::move(point));
-    }
-  }
-
-  /// Walks a root-join candidate's operand cells; see the exact DP.
-  void reconstruct_root(const Candidate& c, Placement& placement) const {
+  /// Places the root's own server, then walks a root-join candidate's
+  /// operand cells; see the exact DP.
+  void reconstruct_root(const RootCandidate& c, Placement& placement) const {
     const NodeId root = topo_.root();
+    if (c.root_mode >= 0) placement.add(out_id(root), c.root_mode);
     const auto children = topo_.internal_children(root);
     if (children.empty()) return;
     if (cache_ != nullptr) cache_->ensure_unpacked(topo_.internal_index(root));
     const NodeState& s = node_state(topo_.internal_index(root));
     const dp::MergePlan& mplan = plans_.get(children.size());
-    const dp::RootOperands ops = dp::root_operands(mplan);
-    reconstruct_slot(s, children, mplan, ops.left, c.left, placement);
-    if (ops.right != dp::RootOperands::kNoSlot) {
-      reconstruct_slot(s, children, mplan, ops.right, c.right, placement);
-    }
+    dp::walk_root_operands(mplan, c, [&](std::uint32_t slot, std::size_t flat) {
+      reconstruct_slot(s, children, mplan, slot, flat, placement);
+    });
   }
 
   void reconstruct(NodeId j, std::size_t flat, Placement& placement) const {
@@ -622,6 +536,7 @@ class SymmetricPowerSolver {
   std::uint64_t nodes_reused_ = 0;
   std::uint64_t signatures_checked_ = 0;
   std::uint64_t cells_skipped_ = 0;
+  std::uint64_t root_scan_work_ = 0;
   PowerPhaseSeconds phases_;
 };
 

@@ -142,7 +142,7 @@ void SolveDispatcher::post(const std::shared_ptr<SolveSession>& session,
     pool_.submit(std::move(task));
     return;
   }
-  SolveSession::Strand& strand = session->strand();
+  Strand& strand = strand_of(*session);
   {
     std::scoped_lock lock(strand.mutex);
     strand.pending.push_back(std::move(task));
@@ -151,10 +151,15 @@ void SolveDispatcher::post(const std::shared_ptr<SolveSession>& session,
   }
   // The drainer holds the session: its last task may drop the only other
   // reference before the drainer sees the strand empty.
-  pool_.submit([session] { drain(session->strand()); });
+  pool_.submit([session] { drain(strand_of(*session)); });
 }
 
-void SolveDispatcher::drain(SolveSession::Strand& strand) {
+SolveDispatcher::Strand& SolveDispatcher::strand_of(SolveSession& session) {
+  return *static_cast<Strand*>(session.attachment(
+      []() -> std::shared_ptr<void> { return std::make_shared<Strand>(); }));
+}
+
+void SolveDispatcher::drain(Strand& strand) {
   // A throwing task must not strand the tasks queued behind it; the first
   // failure propagates after the strand is empty, as it would have from
   // the task's own pool submission.

@@ -16,8 +16,9 @@
 // the bounded queue.
 //
 // Warm solves sharing one SolveSession run in submission order: they queue
-// on the session's strand (SolveSession::Strand), which at most one pool
-// worker drains at a time.  A session's cache state — and so every work
+// on the session's strand (a FIFO the dispatcher attaches to the session,
+// SolveSession::attachment), which at most one pool worker drains at a
+// time.  A session's cache state — and so every work
 // counter a warm solve reports — depends on which scenario it saw last,
 // so the order must not be left to whichever worker reaches the session
 // first.
@@ -26,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <condition_variable>
+#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -150,12 +152,21 @@ class SolveDispatcher {
                         const std::vector<ScenarioDelta>& deltas,
                         double queue_seconds);
 
+  /// One session's warm solves waiting to run, in submission order, and
+  /// whether a worker is draining them.
+  struct Strand {
+    std::mutex mutex;
+    bool running = false;  ///< a worker is draining `pending`
+    std::deque<std::function<void()>> pending;
+  };
+  static Strand& strand_of(SolveSession& session);
+
   /// Runs `task` on the pool — behind the strand of `session` when set,
   /// so same-session tasks run one at a time in submission order.
   void post(const std::shared_ptr<SolveSession>& session,
             std::function<void()> task);
   /// Pool task: runs the strand's pending tasks until it is empty.
-  static void drain(SolveSession::Strand& strand);
+  static void drain(Strand& strand);
 
   std::vector<std::unique_ptr<Solver>> solvers_;
   std::size_t queue_capacity_ = 0;

@@ -356,9 +356,7 @@ class PowerExactSolver : public Solver {
       opts.deltas = request.deltas;
       r = run_dp(in, opts);
     }
-    session.record_warm(r.stats.nodes_recomputed, r.stats.nodes_reused,
-                        r.stats.merge_steps, r.stats.signatures_checked,
-                        r.stats.cells_skipped, r.stats.phases);
+    session.record_warm(r.stats);
     return finish(in, std::move(r));
   }
 
@@ -429,9 +427,7 @@ class PowerSymmetricSolver : public Solver {
       opts.deltas = request.deltas;
       r = run_dp(in, opts);
     }
-    session.record_warm(r.stats.nodes_recomputed, r.stats.nodes_reused,
-                        r.stats.merge_steps, r.stats.signatures_checked,
-                        r.stats.cells_skipped, r.stats.phases);
+    session.record_warm(r.stats);
     return finish(in, std::move(r));
   }
 

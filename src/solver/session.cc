@@ -120,11 +120,10 @@ SolveSession::Stats SolveSession::stats() const {
   stats.tables_dropped = tables_dropped_.load();
   stats.subtrees_sealed = subtrees_sealed_.load();
   stats.sealed_cells_injected = sealed_cells_injected_.load();
-  stats.phases.plan = to_seconds(phase_plan_ns_.load());
-  stats.phases.join = to_seconds(phase_join_ns_.load());
-  stats.phases.root = to_seconds(phase_root_ns_.load());
-  stats.phases.reconstruct = to_seconds(phase_reconstruct_ns_.load());
-  stats.phases.evaluate = to_seconds(phase_evaluate_ns_.load());
+  stats.root_scan_work = root_scan_work_.load();
+  for (std::size_t p = 0; p < kPowerPhases.size(); ++p) {
+    stats.phases.*kPowerPhases[p] = to_seconds(phase_ns_[p].load());
+  }
   return stats;
 }
 
@@ -132,20 +131,28 @@ void SolveSession::record_warm(std::uint64_t nodes_recomputed,
                                std::uint64_t nodes_reused,
                                std::uint64_t merge_steps,
                                std::uint64_t signatures_checked,
-                               std::uint64_t cells_skipped,
-                               const PowerPhaseSeconds& phases) {
+                               std::uint64_t cells_skipped) {
   warm_solves_.fetch_add(1);
   nodes_recomputed_.fetch_add(nodes_recomputed);
   nodes_reused_.fetch_add(nodes_reused);
   merge_steps_.fetch_add(merge_steps);
   signatures_checked_.fetch_add(signatures_checked);
   cells_skipped_.fetch_add(cells_skipped);
-  phase_plan_ns_.fetch_add(to_ns(phases.plan));
-  phase_join_ns_.fetch_add(to_ns(phases.join));
-  phase_root_ns_.fetch_add(to_ns(phases.root));
-  phase_reconstruct_ns_.fetch_add(to_ns(phases.reconstruct));
-  phase_evaluate_ns_.fetch_add(to_ns(phases.evaluate));
   enforce_budget();
+}
+
+void SolveSession::record_warm(const PowerSolveStats& stats) {
+  root_scan_work_.fetch_add(stats.root_scan_work);
+  for (std::size_t p = 0; p < kPowerPhases.size(); ++p) {
+    phase_ns_[p].fetch_add(to_ns(stats.phases.*kPowerPhases[p]));
+  }
+  record_warm(stats.nodes_recomputed, stats.nodes_reused, stats.merge_steps,
+              stats.signatures_checked, stats.cells_skipped);
+}
+
+void* SolveSession::attachment(std::shared_ptr<void> (*make)()) {
+  std::call_once(attachment_once_, [&] { attachment_ = make(); });
+  return attachment_.get();
 }
 
 void SolveSession::record_cold() { cold_solves_.fetch_add(1); }

@@ -26,10 +26,9 @@
 //     the budget holds.  0 = unbounded.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -105,22 +104,19 @@ class SolveSession {
   }
 
   /// Serializes warm solves: hold across a solve_incremental() call that
-  /// was handed this session.
+  /// was handed this session.  serve::SolveDispatcher already runs a
+  /// session's warm solves one at a time (see attachment()); there the
+  /// mutex only excludes save()/compact().
   std::mutex& solve_mutex() { return solve_mutex_; }
 
-  /// Warm solves waiting for this session, in submission order, and
-  /// whether a worker is draining them.  serve::SolveDispatcher queues a
-  /// session's warm solves here so they run one at a time in the order
-  /// they were submitted.  It lives here rather than in a dispatcher-side
-  /// map because a map entry per busy period, created on the submitting
-  /// thread and erased on a worker, measurably inflated a churning
-  /// server's peak RSS (59 MB to 86 MB serving short connections).
-  struct Strand {
-    std::mutex mutex;
-    bool running = false;  ///< a worker is draining `pending`
-    std::deque<std::function<void()>> pending;
-  };
-  Strand& strand() { return strand_; }
+  /// Opaque state a serving layer attaches to this session: created by
+  /// `make` on the first call, returned by every later one, never read by
+  /// the solver layer.  serve::SolveDispatcher keeps its per-session FIFO
+  /// of warm solves here.  (A dispatcher-side map with an entry per busy
+  /// period, created on the submitting thread and erased on a worker,
+  /// measurably inflated a churning server's peak RSS: 59 MB to 86 MB
+  /// serving short connections.)
+  void* attachment(std::shared_ptr<void> (*make)());
 
   /// The per-engine caches, created on first use.  The key is the solver's
   /// registry name, so "power-exact" and "power-sym" never share tables
@@ -163,6 +159,9 @@ class SolveSession {
     /// solve — a reused contraction injects nothing new.
     std::uint64_t subtrees_sealed = 0;
     std::uint64_t sealed_cells_injected = 0;
+    /// The power engines' root-join scan work (PowerSolveStats::
+    /// root_scan_work) summed over their warm solves.
+    std::uint64_t root_scan_work = 0;
     /// Wall-clock phase split summed over the power engines' warm solves
     /// (PowerPhaseSeconds); timing only, never part of a result line.
     PowerPhaseSeconds phases;
@@ -170,13 +169,14 @@ class SolveSession {
   Stats stats() const;
 
   /// Called by solvers after a cache-backed solve with the engine's
-  /// warm-start accounting (and, for the power engines, its phase split);
-  /// also enforces Options::max_bytes (the caller already holds
-  /// solve_mutex(), so cache surgery is safe here).
+  /// warm-start accounting; also enforces Options::max_bytes (the caller
+  /// already holds solve_mutex(), so cache surgery is safe here).
   void record_warm(std::uint64_t nodes_recomputed, std::uint64_t nodes_reused,
                    std::uint64_t merge_steps, std::uint64_t signatures_checked,
-                   std::uint64_t cells_skipped,
-                   const PowerPhaseSeconds& phases = {});
+                   std::uint64_t cells_skipped);
+  /// The power engines' form: their accounting plus the root-scan work
+  /// and the phase split.
+  void record_warm(const PowerSolveStats& stats);
   /// Called by the base-class cold fallback.
   void record_cold();
   /// Called by solver/contracted.h's preload() with the sealed-leaf count
@@ -222,7 +222,8 @@ class SolveSession {
   std::shared_ptr<const Topology> topology_;
   Options options_;
   std::mutex solve_mutex_;
-  Strand strand_;
+  std::once_flag attachment_once_;
+  std::shared_ptr<void> attachment_;
   // Guards the cache maps only; cache contents are protected by
   // solve_mutex_ (held across the whole solve).
   std::mutex caches_mutex_;
@@ -248,12 +249,10 @@ class SolveSession {
   std::atomic<std::uint64_t> tables_dropped_{0};
   std::atomic<std::uint64_t> subtrees_sealed_{0};
   std::atomic<std::uint64_t> sealed_cells_injected_{0};
-  /// PowerPhaseSeconds sums in nanoseconds (atomic integer adds).
-  std::atomic<std::uint64_t> phase_plan_ns_{0};
-  std::atomic<std::uint64_t> phase_join_ns_{0};
-  std::atomic<std::uint64_t> phase_root_ns_{0};
-  std::atomic<std::uint64_t> phase_reconstruct_ns_{0};
-  std::atomic<std::uint64_t> phase_evaluate_ns_{0};
+  std::atomic<std::uint64_t> root_scan_work_{0};
+  /// PowerPhaseSeconds sums in nanoseconds (atomic integer adds), one per
+  /// kPowerPhases entry.
+  std::array<std::atomic<std::uint64_t>, kPowerPhases.size()> phase_ns_{};
 };
 
 }  // namespace treeplace

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/dp_cache.h"
 #include "core/merge_kernel.h"
 #include "support/check.h"
 #include "support/prng.h"
@@ -237,6 +238,68 @@ TEST(MergeKernelTest, LazyJoinMatchesFullRebuild) {
   // including the two-dirty-operand generalization.
   EXPECT_GT(lazy_runs, 30);
   EXPECT_GT(both_dirty_runs, 10);
+}
+
+TEST(MergeKernelTest, LazyJoinPaysOnlyWhenALazyJoinCannotLose) {
+  // Whenever dp::lazy_join_pays offers a lazy context and the lazy path
+  // completes, it visits fewer pairs than the full join of the same
+  // inputs; on tiny tables (where the rescue cap's floor dominates) it
+  // declines.  A lazy join that bails is not covered: its sweeps are
+  // spent before the rescue count is known.
+  JoinScratch scratch;
+  Xoshiro256 rng(0x1a2bu);
+  int offered = 0;
+  int declined = 0;
+  int completed = 0;
+  for (int round = 0; round < 200; ++round) {
+    const std::vector<int> lbounds = random_bounds(rng, 2, 12);
+    std::vector<int> rbounds = lbounds;
+    for (int& b : rbounds) b = static_cast<int>(rng.uniform(0, 12));
+    const Box lbox(lbounds);
+    const Box rbox(rbounds);
+    const Box obox = output_box(lbox, rbox);
+    const RequestCount cap = 14;
+    std::vector<RequestCount> lflow = random_table(lbox, 0.7, 9, rng);
+    std::vector<RequestCount> rflow = random_table(rbox, 0.7, 9, rng);
+    const JoinResult old = naive_join({&lbox, lflow, &rbox, rflow, &obox, cap});
+
+    std::vector<std::uint32_t> changed_left;
+    std::vector<std::uint32_t> changed_right;
+    std::vector<RequestCount> dirty = lflow;
+    dirty_cells(dirty, rng.uniform(0, 2), rng);
+    ASSERT_TRUE(diff_tables(lflow, dirty, dirty.size(), changed_left));
+    lflow = dirty;
+    if (round % 2 == 0) {
+      dirty = rflow;
+      dirty_cells(dirty, 1, rng);
+      ASSERT_TRUE(diff_tables(rflow, dirty, dirty.size(), changed_right));
+      rflow = dirty;
+    }
+
+    const JoinInputs in{&lbox, lflow, &rbox, rflow, &obox, cap};
+    if (!lazy_join_pays(in, changed_left.size(), changed_right.size())) {
+      ++declined;
+      continue;
+    }
+    ++offered;
+    LazyJoin lazy;
+    lazy.old_flow = old.flow;
+    lazy.old_dec = old.dec;
+    lazy.changed_left = changed_left;
+    lazy.changed_right = changed_right;
+    std::vector<RequestCount> flow(obox.size());
+    std::vector<Decision> dec(obox.size());
+    const JoinStats lazy_stats =
+        join_slots(in, flow, dec, nullptr, scratch, &lazy);
+    const JoinStats full_stats = join_slots(in, flow, dec, nullptr, scratch);
+    if (lazy_stats.lazy) {
+      ++completed;
+      EXPECT_LT(lazy_stats.pairs, full_stats.pairs) << "round " << round;
+    }
+  }
+  EXPECT_GT(declined, 20);
+  EXPECT_GT(offered, 20);
+  EXPECT_GT(completed, 50);
 }
 
 TEST(MergeKernelTest, DiffTablesListsChangesAndBails) {

@@ -131,8 +131,6 @@ void run_fuzz(const FuzzSetup& setup, int solver_threads) {
     Tree tree = make_fuzz_tree(77, index, setup.num_internal);
     SolveSession session(tree.topology_ptr());
     Xoshiro256 rng = make_rng(77, index, RngStream::kWorkloadUpdate);
-    std::uint64_t warm_work = 0;
-    std::uint64_t cold_work = 0;
     for (int step = 0; step < 12; ++step) {
       const std::vector<ScenarioDelta> deltas =
           random_step(tree.topology(), rng);
@@ -155,14 +153,9 @@ void run_fuzz(const FuzzSetup& setup, int solver_threads) {
                            std::to_string(solver_threads) + " tree=" +
                            std::to_string(index) + " step=" +
                            std::to_string(step));
-      warm_work += warm.stats.work;
-      cold_work += cold.stats.work;
+      // Warm never does more DP work than cold on the same instance.
+      EXPECT_LE(warm.stats.work, cold.stats.work);
     }
-    // Warm never does more DP work than cold over a chain.  (Per solve it
-    // can: with no root table to build, a small tree's work is a handful
-    // of joins, and a lazy join's changed sweeps plus its rescue pass may
-    // visit more pairs than the full join would.)
-    EXPECT_LE(warm_work, cold_work);
     const SolveSession::Stats stats = session.stats();
     EXPECT_EQ(stats.warm_solves, 12u);
     EXPECT_EQ(stats.cold_solves, 0u);
@@ -293,8 +286,10 @@ TEST(IncrementalSolveTest, WarmSolveSplicesCellsThroughLazyJoins) {
   // One dirty arm of a wide star: the root's re-joined slots see one
   // changed operand with a small value diff, so the lazy kernel path must
   // splice (not recompute) the cells outside the delta's footprint —
-  // while staying bit-identical to a cold solve.
-  constexpr int kFanout = 48;
+  // while staying bit-identical to a cold solve and doing no more work.
+  // (At 48 arms the power DPs' largest re-joined slots are too small for
+  // a splice to beat the full join, so dp::lazy_join_pays declines them.)
+  constexpr int kFanout = 64;
   for (const char* algo : {"power-sym", "power-exact", "update-dp"}) {
     Tree tree = make_star_tree(kFanout);
     const bool single_mode = std::string(algo) == "update-dp";
@@ -324,8 +319,9 @@ TEST(IncrementalSolveTest, WarmSolveSplicesCellsThroughLazyJoins) {
     apply_delta(tree.scenario(), deltas.front());
     const Solution warm =
         warm_solver->solve_incremental(instance(), deltas, session);
-    expect_identical(warm, cold_solver->solve(instance()),
-                     std::string(algo) + " lazy warm");
+    const Solution cold = cold_solver->solve(instance());
+    expect_identical(warm, cold, std::string(algo) + " lazy warm");
+    EXPECT_LE(warm.stats.work, cold.stats.work) << algo;
     EXPECT_GT(session.stats().cells_skipped, 0u)
         << algo << ": a one-arm delta must splice root-join cells";
   }
