@@ -55,13 +55,6 @@ struct DayConfig {
   std::size_t num_pre_existing = 0;
   bool verify_against_original = false;  ///< cold original solve per tick
   bool gate_pack_ratio = false;          ///< demand >= 2x compaction
-  /// Frozen-subtree contraction (SolveSession::Options::contract) for the
-  /// serving session.  Contracted rows run a *sparse* day (touch_fraction
-  /// below): contraction fires when the per-tick dirty set stays within
-  /// the delta fast-path gate, which a 2%-of-users day exceeds on the
-  /// aggregated tree.  Gated on subtrees_sealed > 0 and the same
-  /// bit-identity column as every other row.
-  bool contract = false;
   double touch_fraction = 0.02;  ///< DiurnalConfig::touch_fraction
 };
 
@@ -81,7 +74,6 @@ struct DayResult {
   std::size_t packed_bytes = 0;    ///< end-of-day, after compact()
   bool identical = true;  ///< verify config: aggregated == original
   bool pack_ok = true;    ///< gated config: ratio >= 2x
-  std::uint64_t subtrees_sealed = 0;  ///< contraction builds over the day
 };
 
 double percentile_ms(std::vector<double> seconds, double p) {
@@ -118,18 +110,12 @@ DayResult run_day(const DayConfig& config) {
   Scenario agg_scenario = aggregation.aggregate(tree.scenario());
   const auto warm_solver = make_solver(kAlgo);
   const auto cold_solver = make_solver(kAlgo);
-  SolveSession::Options session_options;
-  if (config.contract) {
-    session_options.contract = true;
-    session_options.contract_min_internal = 32;
-    session_options.contract_min_shrink = 2;
-  }
-  SolveSession session(aggregation.aggregated(), session_options);
+  SolveSession session(aggregation.aggregated());
 
   DayResult r;
   Stopwatch cold_watch;
-  const Solution primed = warm_solver->solve_incremental(
-      make_instance(aggregation.aggregated(), agg_scenario), {}, session);
+  const Solution primed = warm_solver->solve(SolveRequest{
+      make_instance(aggregation.aggregated(), agg_scenario), {}, &session});
   r.cold_seconds = cold_watch.seconds();
   if (!primed.feasible) {
     r.identical = false;
@@ -159,7 +145,7 @@ DayResult run_day(const DayConfig& config) {
         make_instance(aggregation.aggregated(), agg_scenario);
     Stopwatch tick_watch;
     const Solution warm =
-        warm_solver->solve_incremental(instance, mapped, session);
+        warm_solver->solve(SolveRequest{instance, mapped, &session});
     latencies.push_back(tick_watch.seconds());
     r.warm_seconds += latencies.back();
     r.warm_work += warm.stats.work;
@@ -186,7 +172,6 @@ DayResult run_day(const DayConfig& config) {
   r.p99_ms = percentile_ms(latencies, 0.99);
   r.unpacked_bytes = session.resident_bytes();
   r.packed_bytes = session.compact();
-  r.subtrees_sealed = session.stats().subtrees_sealed;
   if (config.gate_pack_ratio) {
     r.pack_ok = r.packed_bytes * 2 <= r.unpacked_bytes;
   }
@@ -221,16 +206,14 @@ void add_result(Table& table, Table& gate, const DayConfig& config,
                  r.phases.evaluate * per_tick,
                  static_cast<double>(r.peak_bytes) / 1048576.0,
                  static_cast<double>(r.packed_bytes) / 1048576.0, ratio,
-                 static_cast<std::int64_t>(r.subtrees_sealed), identical,
-                 pack_ok});
+                 identical, pack_ok});
   gate.add_row({config.label, static_cast<std::int64_t>(config.num_users),
                 static_cast<std::int64_t>(config.ticks),
                 static_cast<std::int64_t>(r.user_deltas),
                 static_cast<std::int64_t>(r.agg_deltas),
                 static_cast<std::int64_t>(r.warm_work),
                 static_cast<std::int64_t>(r.cells_skipped),
-                static_cast<std::int64_t>(r.root_scan_work),
-                static_cast<std::int64_t>(r.subtrees_sealed), identical,
+                static_cast<std::int64_t>(r.root_scan_work), identical,
                 pack_ok});
 }
 
@@ -257,35 +240,31 @@ int main(int argc, char** argv) {
                   scaled<std::size_t>(96, 288)),
        /*num_pre_existing=*/0, /*verify_against_original=*/false,
        /*gate_pack_ratio=*/true},
-      // Contracted twins of both rows on a *sparse* day (a tick touches a
-      // handful of users, the serving regime frozen-subtree contraction
-      // targets): the warm session solves each tick on a tree the size of
-      // the dirty region.  The verify twin keeps the per-tick cold solve
-      // of the un-aggregated original, so zero objective drift under
-      // contraction is gated exactly like aggregation exactness is.
-      {"verify_N4k_contract", 60, 4000, 20, /*num_pre_existing=*/10,
+      // Both rows again on a *sparse* day (a tick touches a handful of
+      // users): the warm session's dirty set stays within the delta
+      // fast-path gate, so planning skips the per-node signature sweep.
+      {"verify_N4k_sparse", 60, 4000, 20, /*num_pre_existing=*/10,
        /*verify_against_original=*/true, /*gate_pack_ratio=*/false,
-       /*contract=*/true, /*touch_fraction=*/0.001},
-      {"day_N1e5_contract",
+       /*touch_fraction=*/0.001},
+      {"day_N1e5_sparse",
        static_cast<int>(env_size_t("TREEPLACE_DAY_INTERNAL", 400)),
        env_size_t("TREEPLACE_DAY_USERS", 100000),
        env_size_t("TREEPLACE_DAY_TICKS",
                   scaled<std::size_t>(96, 288)),
        /*num_pre_existing=*/0, /*verify_against_original=*/false,
-       /*gate_pack_ratio=*/true, /*contract=*/true,
-       /*touch_fraction=*/0.0002},
+       /*gate_pack_ratio=*/true, /*touch_fraction=*/0.0002},
   };
 
   Table table({"config", "users", "ticks", "user_deltas", "agg_deltas",
                "warm_work", "cells_skipped", "root_scan", "scen_per_sec",
                "p50_ms",
                "p99_ms", "plan_ms", "join_ms", "root_ms", "recon_ms",
-               "eval_ms", "peak_mb", "packed_mb", "pack_ratio",
-               "subtrees_sealed", "identical", "pack_ok"});
+               "eval_ms", "peak_mb", "packed_mb", "pack_ratio", "identical",
+               "pack_ok"});
   table.set_title("Simulated day over a warm serving session");
   Table gate({"config", "users", "ticks", "user_deltas", "agg_deltas",
-              "warm_work", "cells_skipped", "root_scan", "subtrees_sealed",
-              "identical", "pack_ok"});
+              "warm_work", "cells_skipped", "root_scan", "identical",
+              "pack_ok"});
   gate.set_title("day_serve (deterministic columns)");
 
   Stopwatch total;
@@ -301,10 +280,6 @@ int main(int argc, char** argv) {
       failures.push_back("config " + config.label + ": compact() ratio " +
                          std::to_string(r.unpacked_bytes) + "/" +
                          std::to_string(r.packed_bytes) + " below 2x");
-    }
-    if (config.contract && r.subtrees_sealed == 0) {
-      failures.push_back("config " + config.label +
-                         ": contraction never fired (subtrees_sealed == 0)");
     }
     add_result(table, gate, config, r);
   }

@@ -146,7 +146,7 @@ ChainResult run_chain(const Config& config, const DeltaSize& delta,
 
   // Fill the session once so every measured step is a true warm re-solve
   // (the serving loop's tree record plays the same role).
-  warm_solver->solve_incremental(make_instance(config, tree), {}, session);
+  warm_solver->solve(SolveRequest{make_instance(config, tree), {}, &session});
   const SolveSession::Stats primed = session.stats();
 
   ChainResult r;
@@ -169,7 +169,7 @@ ChainResult run_chain(const Config& config, const DeltaSize& delta,
 
     Stopwatch warm_watch;
     const Solution warm =
-        warm_solver->solve_incremental(instance, deltas, session);
+        warm_solver->solve(SolveRequest{instance, deltas, &session});
     r.warm_seconds += warm_watch.seconds();
 
     r.cold_work += cold.stats.work;

@@ -383,54 +383,6 @@ struct MinCostNodeState {
   }
 };
 
-/// Deep-copies a power node state into `dst` (whose tables live in
-/// `dst_arena`) — the transfer primitive of subtree contraction: open
-/// nodes clone *with* slots (full per-slot resume on the other side),
-/// sealed roots clone *without* (the contracted solve only reads their
-/// final table and bounds; reconstruction walks the original cache).
-/// `src` must be unpacked.
-inline void clone_node_state(const PowerNodeState& src, TableArena& dst_arena,
-                             PowerNodeState& dst, bool with_slots) {
-  TREEPLACE_DCHECK(!src.packed);
-  dst.release(dst_arena);
-  dst.box = src.box;
-  dst.flow.assign_copy(dst_arena, src.flow.span());
-  dst.incl_bounds = src.incl_bounds;
-  if (!with_slots) return;
-  dst.slot_boxes = src.slot_boxes;
-  dst.slot_decisions.resize(src.slot_decisions.size());
-  for (std::size_t k = 0; k < src.slot_decisions.size(); ++k) {
-    dst.slot_decisions[k].assign_copy(dst_arena, src.slot_decisions[k].span());
-  }
-  dst.slot_flows.resize(src.slot_flows.size());
-  for (std::size_t k = 0; k < src.slot_flows.size(); ++k) {
-    dst.slot_flows[k].assign_copy(dst_arena, src.slot_flows[k].span());
-  }
-}
-
-/// MinCost twin of the power overload; (eb, nb) scalars always copy (the
-/// parent's leaf expansion reads a child's bounds even when sealed).
-inline void clone_node_state(const MinCostNodeState& src,
-                             TableArena& dst_arena, MinCostNodeState& dst,
-                             bool with_slots) {
-  TREEPLACE_DCHECK(!src.packed);
-  dst.release(dst_arena);
-  dst.eb = src.eb;
-  dst.nb = src.nb;
-  dst.flow.assign_copy(dst_arena, src.flow.span());
-  if (!with_slots) return;
-  dst.slot_eb = src.slot_eb;
-  dst.slot_nb = src.slot_nb;
-  dst.slot_decisions.resize(src.slot_decisions.size());
-  for (std::size_t k = 0; k < src.slot_decisions.size(); ++k) {
-    dst.slot_decisions[k].assign_copy(dst_arena, src.slot_decisions[k].span());
-  }
-  dst.slot_flows.resize(src.slot_flows.size());
-  for (std::size_t k = 0; k < src.slot_flows.size(); ++k) {
-    dst.slot_flows[k].assign_copy(dst_arena, src.slot_flows[k].span());
-  }
-}
-
 /// One engine's cached per-subtree tables over one topology.  Owned by a
 /// SolveSession; engines receive a pointer and leave their NodeStates
 /// behind for the next solve.  Not thread-safe: warm solves over one cache
@@ -730,18 +682,11 @@ inline std::optional<std::vector<NodeId>> delta_touched_internal(
 /// never leave a stale entry marked valid (slot resumption still works
 /// this round: the snapshots survive invalidation, and validity is
 /// re-committed only after a node is fully reprocessed).
-/// `planning_n` overrides the node count the fast-path size gate compares
-/// against (0 = this topology's own).  Contracted solves pass the
-/// *original* tree's num_internal: eligibility for contraction already
-/// implies the uncontracted twin would take the fast path, and gating
-/// against the same N keeps the chosen path — and so signatures_checked —
-/// bit-identical between the two.
 template <typename NodeState, typename MakeSignature>
 DirtyPlan plan_warm_solve(const Topology& topo, SubtreeCache<NodeState>* cache,
                           std::vector<std::uint64_t> params,
                           const MakeSignature& make_signature,
-                          std::span<const ScenarioDelta> deltas = {},
-                          std::size_t planning_n = 0) {
+                          std::span<const ScenarioDelta> deltas = {}) {
   const std::size_t n = topo.num_internal();
   DirtyPlan plan;
   plan.dirty.assign(n, 1);
@@ -764,7 +709,7 @@ DirtyPlan plan_warm_solve(const Topology& topo, SubtreeCache<NodeState>* cache,
     std::sort(effective.begin(), effective.end());
     effective.erase(std::unique(effective.begin(), effective.end()),
                     effective.end());
-    if (effective.size() * 8 <= (planning_n != 0 ? planning_n : n)) {
+    if (effective.size() * 8 <= n) {
       plan.dirty.assign(n, 0);
       plan.resume.assign(n, 0);
       plan.base_changed.assign(n, 0);

@@ -64,7 +64,7 @@ class MinCostSolver {
     finish_stats(result);
     if (!std::isfinite(best.cost)) return result;
     result.feasible = true;
-    if (best.place_root) result.placement.add(out_id(topo_.root()), 0);
+    if (best.place_root) result.placement.add(topo_.root(), 0);
     const NodeState& s = node_state(topo_.internal_index(topo_.root()));
     reconstruct(topo_.root(), flat_idx(best.e, best.n, s.nb),
                 result.placement);
@@ -89,10 +89,7 @@ class MinCostSolver {
     // recomputed every solve.
     return dp::plan_warm_solve(
         topo_, cache_, {static_cast<std::uint64_t>(config_.capacity)},
-        [this](NodeId j) { return signature(j); }, config_.deltas,
-        config_.contraction != nullptr
-            ? config_.contraction->planning_internal
-            : 0);
+        [this](NodeId j) { return signature(j); }, config_.deltas);
   }
 
   void finish_stats(MinCostResult& result) const {
@@ -333,11 +330,7 @@ class MinCostSolver {
     }
     const NodeState& s = node_state(topo_.internal_index(root));
     const bool root_pre = scen_.pre_existing(root);
-    // Deletions price against the whole tree's E; the contracted scenario
-    // cannot see sealed interiors, so the view carries the original total.
-    const int e_total = static_cast<int>(
-        config_.contraction != nullptr ? config_.contraction->num_pre_existing
-                                       : scen_.num_pre_existing());
+    const int e_total = static_cast<int>(scen_.num_pre_existing());
     RootChoice best;
 
     const auto consider = [&](int e, int n, bool place_root, int reused,
@@ -379,13 +372,6 @@ class MinCostSolver {
   /// Unwinds node j's merge tree from the root-slot flat index, adding
   /// child replicas to `placement`.
   void reconstruct(NodeId j, std::size_t flat, Placement& placement) const {
-    // A sealed leaf owns no slot decisions here: its frozen subtree's
-    // placement is reconstructed from the original session cache.
-    if (config_.contraction != nullptr &&
-        config_.contraction->sealed[topo_.internal_index(j)] != 0) {
-      config_.contraction->expand_sealed(out_id(j), flat, placement);
-      return;
-    }
     // Clean nodes skipped by the warm solve may still be packed; the walk
     // reads their decisions.
     if (cache_ != nullptr) cache_->ensure_unpacked(topo_.internal_index(j));
@@ -405,7 +391,7 @@ class MinCostSolver {
     const Decision d = s.slot_decisions[slot][flat];
     if (slot < mplan.num_leaves()) {
       const NodeId c = children[slot];
-      if (d.mode >= 0) placement.add(out_id(c), /*mode=*/0);
+      if (d.mode >= 0) placement.add(c, /*mode=*/0);
       reconstruct(c, d.right, placement);
       return;
     }
@@ -413,13 +399,6 @@ class MinCostSolver {
         mplan.steps()[slot - mplan.num_leaves()];
     reconstruct_slot(s, children, mplan, step.left, d.left, placement);
     reconstruct_slot(s, children, mplan, step.right, d.right, placement);
-  }
-
-  /// Output-id translation: contracted solves emit original ids.
-  NodeId out_id(NodeId c) const {
-    return config_.contraction != nullptr
-               ? config_.contraction->to_original[static_cast<std::size_t>(c)]
-               : c;
   }
 
   const Topology& topo_;
@@ -452,56 +431,12 @@ MinCostResult solve_min_cost_with_pre(const Topology& topo,
   TREEPLACE_CHECK(config.delete_cost >= 0.0);
   MinCostSolver solver(topo, scen, config);
   MinCostResult result = solver.solve();
-  // A contracted solve's placement names original ids, which this
-  // topo/scen cannot price; the caller evaluates on the original instance.
-  if (result.feasible && config.contraction == nullptr) {
+  if (result.feasible) {
     result.breakdown = evaluate_cost(
         topo, scen, result.placement,
         CostModel::simple(config.create, config.delete_cost));
   }
   return result;
-}
-
-namespace {
-
-void reconstruct_min_cost_slot(const Topology& topo,
-                               dp::MinCostSubtreeCache& cache,
-                               dp::MergePlanCache& plans,
-                               const dp::MinCostNodeState& s,
-                               std::span<const NodeId> children,
-                               const dp::MergePlan& mplan, std::uint32_t slot,
-                               std::size_t flat, Placement& placement) {
-  const Decision d = s.slot_decisions[slot][flat];
-  if (slot < mplan.num_leaves()) {
-    const NodeId c = children[slot];
-    if (d.mode >= 0) placement.add(c, /*mode=*/0);
-    reconstruct_min_cost_subtree(topo, cache, plans, c, d.right, placement);
-    return;
-  }
-  const dp::MergePlan::Step& step = mplan.steps()[slot - mplan.num_leaves()];
-  reconstruct_min_cost_slot(topo, cache, plans, s, children, mplan, step.left,
-                            d.left, placement);
-  reconstruct_min_cost_slot(topo, cache, plans, s, children, mplan,
-                            step.right, d.right, placement);
-}
-
-}  // namespace
-
-void reconstruct_min_cost_subtree(const Topology& topo,
-                                  dp::MinCostSubtreeCache& cache,
-                                  dp::MergePlanCache& plans, NodeId j,
-                                  std::size_t flat, Placement& placement) {
-  const std::size_t i = topo.internal_index(j);
-  cache.ensure_unpacked(i);
-  const dp::MinCostNodeState& s = cache.state(i);
-  const auto children = topo.internal_children(j);
-  if (children.empty()) {
-    TREEPLACE_DCHECK(flat == 0);
-    return;
-  }
-  const dp::MergePlan& mplan = plans.get(children.size());
-  reconstruct_min_cost_slot(topo, cache, plans, s, children, mplan,
-                            mplan.root_slot(), flat, placement);
 }
 
 }  // namespace treeplace

@@ -23,7 +23,6 @@
 #include <cstdint>
 
 #include "core/dp_cache.h"
-#include "core/dp_contract.h"
 #include "model/cost.h"
 #include "model/placement.h"
 #include "tree/tree.h"
@@ -43,13 +42,6 @@ struct MinCostConfig {
   /// core/dp_cache.h): a complete span lets planning skip the O(N)
   /// signature sweep.  Empty = unknown = full sweep.
   std::span<const ScenarioDelta> deltas;
-  /// Set when `topo`/`scen` are a contracted tree (core/dp_contract.h):
-  /// the placement is emitted under original ids, sealed leaves
-  /// reconstruct through view.expand_sealed, and the root scan prices
-  /// deletions against the original |E|.  The breakdown is then left for
-  /// the caller to evaluate on the original instance.  The view must
-  /// outlive the solve call.
-  const dp::ContractionView* contraction = nullptr;
 };
 
 struct MinCostResult {
@@ -85,14 +77,5 @@ inline MinCostResult solve_min_cost_with_pre(const Tree& tree,
                                              const MinCostConfig& config) {
   return solve_min_cost_with_pre(tree.topology(), tree.scenario(), config);
 }
-
-/// Cache-only decision walk: emits the placement of the subtree rooted at
-/// `j` for the chosen flat index into its cached root table (all servers
-/// mode 0).  This is what a ContractionView's expand_sealed binds to for
-/// the MinCost cache.
-void reconstruct_min_cost_subtree(const Topology& topo,
-                                  dp::MinCostSubtreeCache& cache,
-                                  dp::MergePlanCache& plans, NodeId j,
-                                  std::size_t flat, Placement& placement);
 
 }  // namespace treeplace

@@ -994,13 +994,15 @@ JoinStats join_slots(const JoinInputs& in, std::span<RequestCount> out_flow,
   const RunFn run = pick_run_fn(cfg.simd);
   const SparseFn sparse = pick_sparse_fn(cfg.simd);
   const RequestCount* rraw = in.rflow.data();
+  std::uint8_t* upd_base = nullptr;  // shard s's mask: upd_base + s*stride
+  std::size_t upd_stride = 0;
 
   const auto range = [&](std::size_t lo, std::size_t hi, RequestCount* flow,
                          Decision* dec, std::size_t shard) -> std::uint64_t {
     if (!dense) {
       return sparse(scratch.left, lo, hi, scratch.right, in.cap, flow, dec);
     }
-    std::uint8_t* upd = scratch.shard_upd[shard].data();
+    std::uint8_t* upd = upd_base + shard * upd_stride;
     const EntryList& left = scratch.left;
     for (std::size_t i = lo; i < hi; ++i) {
       const RequestCount lf = left.flow[i];
@@ -1028,15 +1030,19 @@ JoinStats join_slots(const JoinInputs& in, std::span<RequestCount> out_flow,
                      static_cast<std::uint64_t>(nl) * per_left_work >=
                          kMinShardPairs;
   const std::size_t num_shards = shard ? pool->size() : 1;
-  if (scratch.shard_upd.size() < num_shards) {
-    scratch.shard_upd.resize(num_shards);
-  }
   if (dense) {
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      if (scratch.shard_upd[s].size() < row_len) {
-        scratch.shard_upd[s].resize(row_len);
-      }
+    // Every row rewrites the masks, so two shards' masks must never share
+    // a cache line: with one small heap block per shard, a 4-thread cold
+    // solve took 0.24 s or 0.40 s depending on where the allocator put
+    // them.
+    constexpr std::size_t kLine = TableArena::kAlignment;
+    upd_stride = (row_len + kLine - 1) / kLine * kLine;
+    if (scratch.shard_upd.size() < num_shards * upd_stride + kLine - 1) {
+      scratch.shard_upd.resize(num_shards * upd_stride + kLine - 1);
     }
+    std::uint8_t* const raw = scratch.shard_upd.data();
+    const std::size_t skew = reinterpret_cast<std::uintptr_t>(raw) % kLine;
+    upd_base = raw + (kLine - skew) % kLine;
   }
 
   if (!shard) {

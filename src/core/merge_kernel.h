@@ -342,7 +342,9 @@ void compact_entries(const Box& box, std::span<const RequestCount> flow,
 struct JoinScratch {
   EntryList left, right;
   std::vector<std::uint64_t> row_dot;     ///< dense: per-row output offset
-  std::vector<std::vector<std::uint8_t>> shard_upd;  ///< per-shard lane masks
+  /// Dense: per-shard lane masks, each on its own cache lines (see
+  /// join_slots).
+  std::vector<std::uint8_t> shard_upd;
   std::vector<std::uint8_t> reach;        ///< lazy: output reachability
   std::vector<std::uint8_t> changed_set_left;   ///< lazy: membership masks
   std::vector<std::uint8_t> changed_set_right;

@@ -209,17 +209,12 @@ void walk_root_operands(const MergePlan& mplan, const RootCandidate& c,
 
 /// Turns the chosen candidates into frontier points: `reconstruct(c,
 /// placement)` fills the placement (root server included), which is then
-/// re-priced by the evaluator.  A contracted solve's placement names
-/// original ids its own topology cannot price, so it keeps the
-/// candidate's values and the caller re-prices on the original instance
-/// (the exact calls the uncontracted solve makes, so the doubles land
-/// bit-identical).
-/// Times the two steps into `phases`.
+/// re-priced by the evaluator.  Times the two steps into `phases`.
 template <typename Reconstruct>
 void emit_root_frontier(std::span<const RootCandidate> chosen,
                         const Topology& topo, const Scenario& scen,
                         const ModeSet& modes, const CostModel& costs,
-                        bool contracted, Reconstruct&& reconstruct,
+                        Reconstruct&& reconstruct,
                         PowerDPResult& result, PowerPhaseSeconds& phases) {
   if (chosen.empty()) return;
   result.feasible = true;
@@ -230,16 +225,11 @@ void emit_root_frontier(std::span<const RootCandidate> chosen,
     reconstruct(c, point.placement);
     phases.reconstruct += phase.seconds();
     phase.reset();
-    if (contracted) {
-      point.cost = c.cost;
-      point.power = c.power;
-    } else {
-      point.breakdown = evaluate_cost(topo, scen, point.placement, costs);
-      point.cost = point.breakdown.cost;
-      point.power = total_power(point.placement, modes);
-      TREEPLACE_DCHECK(std::fabs(point.cost - c.cost) < 1e-6);
-      TREEPLACE_DCHECK(std::fabs(point.power - c.power) < 1e-6);
-    }
+    point.breakdown = evaluate_cost(topo, scen, point.placement, costs);
+    point.cost = point.breakdown.cost;
+    point.power = total_power(point.placement, modes);
+    TREEPLACE_DCHECK(std::fabs(point.cost - c.cost) < 1e-6);
+    TREEPLACE_DCHECK(std::fabs(point.power - c.power) < 1e-6);
     phases.evaluate += phase.seconds();
     result.frontier.push_back(std::move(point));
   }

@@ -48,16 +48,7 @@ class ExactPowerSolver {
         cache_(options.cache),
         arena_(options.cache ? &options.cache->arena() : &own_arena_),
         deltas_(options.deltas),
-        contraction_(options.contraction),
         local_states_(options.cache ? 0 : topo.num_internal()) {
-    if (contraction_ != nullptr) {
-      // The contracted scenario under-counts E (sealed interiors are
-      // invisible); the session layer totals the original scenario.
-      TREEPLACE_CHECK(contraction_->pre_total_per_mode.size() ==
-                      static_cast<std::size_t>(m_));
-      pre_total_per_mode_ = contraction_->pre_total_per_mode;
-      return;
-    }
     pre_total_per_mode_.assign(static_cast<std::size_t>(m_), 0);
     for (NodeId e : scen_.pre_existing_nodes()) {
       const int o = scen_.original_mode(e);
@@ -98,7 +89,7 @@ class ExactPowerSolver {
         dp::select_root_frontier(root_join());
     phases_.root = phase.seconds();
     dp::emit_root_frontier(
-        chosen, topo_, scen_, modes_, costs_, contraction_ != nullptr,
+        chosen, topo_, scen_, modes_, costs_,
         [this](const RootCandidate& c, Placement& placement) {
           reconstruct_root(c, placement);
         },
@@ -121,8 +112,7 @@ class ExactPowerSolver {
   dp::DirtyPlan plan_dirty() {
     return dp::plan_warm_solve(
         topo_, cache_, dp::capacity_params(modes_),
-        [this](NodeId j) { return signature(j); }, deltas_,
-        contraction_ != nullptr ? contraction_->planning_internal : 0);
+        [this](NodeId j) { return signature(j); }, deltas_);
   }
 
   void finish_stats(PowerDPResult& result, const Stopwatch& watch) const {
@@ -498,7 +488,7 @@ class ExactPowerSolver {
   /// operand cells down the root's merge plan.
   void reconstruct_root(const RootCandidate& c, Placement& placement) const {
     const NodeId root = topo_.root();
-    if (c.root_mode >= 0) placement.add(out_id(root), c.root_mode);
+    if (c.root_mode >= 0) placement.add(root, c.root_mode);
     const auto children = topo_.internal_children(root);
     if (children.empty()) return;
     if (cache_ != nullptr) cache_->ensure_unpacked(topo_.internal_index(root));
@@ -510,13 +500,6 @@ class ExactPowerSolver {
   }
 
   void reconstruct(NodeId j, std::size_t flat, Placement& placement) const {
-    // A sealed leaf owns no slot decisions here: its frozen subtree's
-    // placement is reconstructed from the original session cache.
-    if (contraction_ != nullptr &&
-        contraction_->sealed[topo_.internal_index(j)] != 0) {
-      contraction_->expand_sealed(out_id(j), flat, placement);
-      return;
-    }
     // Clean nodes skipped by the warm solve may still be packed; the walk
     // reads their decisions.
     if (cache_ != nullptr) cache_->ensure_unpacked(topo_.internal_index(j));
@@ -536,7 +519,7 @@ class ExactPowerSolver {
     const Decision d = s.slot_decisions[slot][flat];
     if (slot < mplan.num_leaves()) {
       const NodeId c = children[slot];
-      if (d.mode >= 0) placement.add(out_id(c), d.mode);
+      if (d.mode >= 0) placement.add(c, d.mode);
       reconstruct(c, d.right, placement);
       return;
     }
@@ -544,13 +527,6 @@ class ExactPowerSolver {
         mplan.steps()[slot - mplan.num_leaves()];
     reconstruct_slot(s, children, mplan, step.left, d.left, placement);
     reconstruct_slot(s, children, mplan, step.right, d.right, placement);
-  }
-
-  /// Output-id translation: contracted solves emit original ids.
-  NodeId out_id(NodeId c) const {
-    return contraction_ != nullptr
-               ? contraction_->to_original[static_cast<std::size_t>(c)]
-               : c;
   }
 
   const Topology& topo_;
@@ -573,7 +549,6 @@ class ExactPowerSolver {
   TableArena own_arena_;
   TableArena* const arena_;
   const std::span<const ScenarioDelta> deltas_;
-  const dp::ContractionView* const contraction_;
   mutable std::vector<NodeState> local_states_;
   mutable dp::MergePlanCache plans_;
   std::vector<int> pre_total_per_mode_;

@@ -22,7 +22,6 @@
 #pragma once
 
 #include "core/dp_cache.h"
-#include "core/dp_contract.h"
 #include "core/power_common.h"
 #include "model/cost.h"
 #include "model/modes.h"
@@ -57,13 +56,6 @@ struct PowerDPOptions {
   /// sweeping all N signatures.  Empty always means "unknown" and selects
   /// the sweep.  The span must outlive the solve call.
   std::span<const ScenarioDelta> deltas;
-  /// Set when `topo`/`scen` are a contracted tree (see core/dp_contract.h):
-  /// placements and frontier points are emitted under *original* ids,
-  /// sealed leaves reconstruct through view.expand_sealed, and the root
-  /// scan prices deletions against the original scenario's totals.  The
-  /// caller re-prices frontier breakdowns on the original instance.  The
-  /// view must outlive the solve call.
-  const dp::ContractionView* contraction = nullptr;
 };
 
 /// Solves MinPower-BoundedCost-{No,With}Pre exactly over one scenario of a
@@ -83,8 +75,7 @@ inline PowerDPResult solve_power_exact(const Tree& tree, const ModeSet& modes,
 /// Cache-only decision walk: emits the placement of the subtree rooted at
 /// `j` for the chosen flat index into its cached root table, reading the
 /// per-slot decisions the last completed solve left behind (packed entries
-/// are unpacked on the way).  Shared by both power engines — this is what
-/// a ContractionView's expand_sealed binds to for the power caches.
+/// are unpacked on the way).  Works for either power engine's cache.
 void reconstruct_power_subtree(const Topology& topo,
                                dp::PowerSubtreeCache& cache,
                                dp::MergePlanCache& plans, NodeId j,

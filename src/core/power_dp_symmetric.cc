@@ -48,7 +48,6 @@ class SymmetricPowerSolver {
         cache_(options.cache),
         arena_(options.cache ? &options.cache->arena() : &own_arena_),
         deltas_(options.deltas),
-        contraction_(options.contraction),
         local_states_(options.cache ? 0 : topo.num_internal()) {}
 
   PowerDPResult solve() {
@@ -80,7 +79,7 @@ class SymmetricPowerSolver {
         dp::select_root_frontier(root_join());
     phases_.root = phase.seconds();
     dp::emit_root_frontier(
-        chosen, topo_, scen_, modes_, costs_, contraction_ != nullptr,
+        chosen, topo_, scen_, modes_, costs_,
         [this](const RootCandidate& c, Placement& placement) {
           reconstruct_root(c, placement);
         },
@@ -103,8 +102,7 @@ class SymmetricPowerSolver {
   dp::DirtyPlan plan_dirty() {
     return dp::plan_warm_solve(
         topo_, cache_, dp::capacity_params(modes_),
-        [this](NodeId j) { return signature(j); }, deltas_,
-        contraction_ != nullptr ? contraction_->planning_internal : 0);
+        [this](NodeId j) { return signature(j); }, deltas_);
   }
 
   void finish_stats(PowerDPResult& result, const Stopwatch& watch) const {
@@ -382,9 +380,7 @@ class SymmetricPowerSolver {
     }
     double units = 1.0;  // bound on any candidate's summed counts
     for (const int b : rbox.bounds()) units += b;
-    const double e_total = static_cast<double>(
-        contraction_ != nullptr ? contraction_->num_pre_existing
-                                : scen_.num_pre_existing());
+    const double e_total = static_cast<double>(scen_.num_pre_existing());
     pricing.cost_tol = dp::near_tie_tolerance(
         (units + e_total) *
         (1.0 + std::fabs(create_) + std::fabs(changed_same_) +
@@ -423,11 +419,7 @@ class SymmetricPowerSolver {
     const int reused = e_same + e_changed;
     const int created = servers - reused;
     TREEPLACE_DCHECK(created >= 0);
-    // Deletions price against the whole tree's E; the contracted scenario
-    // cannot see sealed interiors, so the view carries the original total.
-    const int e_total = static_cast<int>(
-        contraction_ != nullptr ? contraction_->num_pre_existing
-                                : scen_.num_pre_existing());
+    const int e_total = static_cast<int>(scen_.num_pre_existing());
     const double cost = static_cast<double>(servers) +
                         static_cast<double>(created) * create_ +
                         static_cast<double>(e_same) * changed_same_ +
@@ -441,7 +433,7 @@ class SymmetricPowerSolver {
   /// operand cells; see the exact DP.
   void reconstruct_root(const RootCandidate& c, Placement& placement) const {
     const NodeId root = topo_.root();
-    if (c.root_mode >= 0) placement.add(out_id(root), c.root_mode);
+    if (c.root_mode >= 0) placement.add(root, c.root_mode);
     const auto children = topo_.internal_children(root);
     if (children.empty()) return;
     if (cache_ != nullptr) cache_->ensure_unpacked(topo_.internal_index(root));
@@ -453,13 +445,6 @@ class SymmetricPowerSolver {
   }
 
   void reconstruct(NodeId j, std::size_t flat, Placement& placement) const {
-    // A sealed leaf owns no slot decisions here: its frozen subtree's
-    // placement is reconstructed from the original session cache.
-    if (contraction_ != nullptr &&
-        contraction_->sealed[topo_.internal_index(j)] != 0) {
-      contraction_->expand_sealed(out_id(j), flat, placement);
-      return;
-    }
     // Clean nodes skipped by the warm solve may still be packed; the walk
     // reads their decisions.
     if (cache_ != nullptr) cache_->ensure_unpacked(topo_.internal_index(j));
@@ -479,7 +464,7 @@ class SymmetricPowerSolver {
     const Decision d = s.slot_decisions[slot][flat];
     if (slot < mplan.num_leaves()) {
       const NodeId c = children[slot];
-      if (d.mode >= 0) placement.add(out_id(c), d.mode);
+      if (d.mode >= 0) placement.add(c, d.mode);
       reconstruct(c, d.right, placement);
       return;
     }
@@ -487,13 +472,6 @@ class SymmetricPowerSolver {
         mplan.steps()[slot - mplan.num_leaves()];
     reconstruct_slot(s, children, mplan, step.left, d.left, placement);
     reconstruct_slot(s, children, mplan, step.right, d.right, placement);
-  }
-
-  /// Output-id translation: contracted solves emit original ids.
-  NodeId out_id(NodeId c) const {
-    return contraction_ != nullptr
-               ? contraction_->to_original[static_cast<std::size_t>(c)]
-               : c;
   }
 
   const Topology& topo_;
@@ -519,7 +497,6 @@ class SymmetricPowerSolver {
   TableArena own_arena_;
   TableArena* const arena_;
   const std::span<const ScenarioDelta> deltas_;
-  const dp::ContractionView* const contraction_;
   mutable std::vector<NodeState> local_states_;
   mutable dp::MergePlanCache plans_;
   dp::JoinScratch scratch_;

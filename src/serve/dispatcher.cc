@@ -66,7 +66,7 @@ std::future<ServeResult> SolveDispatcher::submit(
   }
   Stopwatch queued;
   std::shared_ptr<SolveSession> strand =
-      solver.supports_incremental() ? session : nullptr;
+      any(solver.caps() & SolverCaps::kIncremental) ? session : nullptr;
   auto task = std::make_shared<std::packaged_task<ServeResult()>>(
       [this, solver_index, instance = std::move(instance),
        session = std::move(session), deltas = std::move(deltas), queued] {
@@ -125,7 +125,7 @@ void SolveDispatcher::submit_reserved(std::size_t solver_index,
 
   Stopwatch queued;
   std::shared_ptr<SolveSession> strand =
-      solver.supports_incremental() ? session : nullptr;
+      any(solver.caps() & SolverCaps::kIncremental) ? session : nullptr;
   // run_solve releases the queue slot before returning, so by the time
   // `done` fires the caller may immediately reserve again.
   post(strand, [this, solver_index, instance = std::move(instance),
@@ -192,7 +192,7 @@ ServeResult SolveDispatcher::run_solve(
   const Solver& solver = *solvers_[solver_index];
   Stopwatch watch;
   try {
-    if (session != nullptr && solver.supports_incremental()) {
+    if (session != nullptr && any(solver.caps() & SolverCaps::kIncremental)) {
       // The session's strand already runs its warm solves one at a time
       // in submission order; the mutex excludes save()/compact().
       std::scoped_lock session_lock(session->solve_mutex());

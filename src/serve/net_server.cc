@@ -310,8 +310,7 @@ class NetServer::Loop {
         shard_(*server.shards_[shard_index]),
         dispatcher_(config_.stream.dispatcher),
         cache_(config_.stream.cache_capacity,
-               SolveSession::Options{config_.stream.session_max_bytes,
-                                     config_.stream.session_contract}),
+               SolveSession::Options{config_.stream.session_max_bytes}),
         poller_(Poller::create()) {
     format_.print_placements = config_.stream.print_placements;
     format_.has_budget = config_.stream.cost_budget.has_value();
@@ -1171,8 +1170,6 @@ NetServerSummary NetServer::run(std::ostream& summary_out) {
     total.cache.session_snapshots_dropped += s.cache.session_snapshots_dropped;
     total.cache.session_tables_dropped += s.cache.session_tables_dropped;
     total.cache.session_cells_skipped += s.cache.session_cells_skipped;
-    total.cache.session_subtrees_sealed += s.cache.session_subtrees_sealed;
-    total.cache.session_sealed_cells += s.cache.session_sealed_cells;
   }
   total.wall_seconds = router.wall_seconds();
   total.scenarios_per_second =
@@ -1221,8 +1218,6 @@ NetServerSummary NetServer::run(std::ostream& summary_out) {
       << " dropped_snapshots=" << total.cache.session_snapshots_dropped
       << " dropped_tables=" << total.cache.session_tables_dropped
       << " cells_skipped=" << total.cache.session_cells_skipped
-      << " subtrees_sealed=" << total.cache.session_subtrees_sealed
-      << " sealed_cells=" << total.cache.session_sealed_cells
       << " errors=" << solver.errors
       << " mean_queue_s=" << solver.total_queue_seconds / solves
       << " mean_solve_s=" << solver.total_solve_seconds / solves

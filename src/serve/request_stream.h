@@ -52,7 +52,7 @@ namespace treeplace::serve {
 
 /// One edit applied to a forked base scenario, in record order.  The type
 /// now lives with the Scenario it edits (tree/scenario_delta.h) because
-/// the core solvers consume delta spans too (Solver::solve_incremental);
+/// the core solvers consume delta spans too (SolveRequest::deltas);
 /// re-exported here under its historical name for stream code.
 using treeplace::ScenarioDelta;
 

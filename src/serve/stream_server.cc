@@ -40,8 +40,7 @@ StreamServer::StreamServer(StreamServerConfig config)
 StreamServerSummary StreamServer::serve(std::istream& in, std::ostream& out) {
   SolveDispatcher dispatcher(config_.dispatcher);
   TopologyCache cache(config_.cache_capacity,
-                      SolveSession::Options{config_.session_max_bytes,
-                                            config_.session_contract});
+                      SolveSession::Options{config_.session_max_bytes});
   RequestStreamReader reader(in);
   StreamServerSummary summary;
   Stopwatch wall;
@@ -184,8 +183,6 @@ StreamServerSummary StreamServer::serve(std::istream& in, std::ostream& out) {
       << " dropped_snapshots=" << summary.cache.session_snapshots_dropped
       << " dropped_tables=" << summary.cache.session_tables_dropped
       << " cells_skipped=" << summary.cache.session_cells_skipped
-      << " subtrees_sealed=" << summary.cache.session_subtrees_sealed
-      << " sealed_cells=" << summary.cache.session_sealed_cells
       << " errors=" << solver.errors
       << " mean_queue_s=" << solver.total_queue_seconds / solves
       << " mean_solve_s=" << solver.total_solve_seconds / solves

@@ -37,11 +37,6 @@ struct StreamServerConfig {
   /// 0 = unbounded): bounding each resident topology's cached DP state
   /// lets the cache keep many more topologies warm.
   std::size_t session_max_bytes = 0;
-  /// Frozen-subtree contraction for resident sessions
-  /// (SolveSession::Options::contract): localized delta days solve over a
-  /// tree the size of the dirty region.  Mutually exclusive with a
-  /// session byte budget — sessions ignore it while session_max_bytes > 0.
-  bool session_contract = false;
 
   /// Instance parameters applied to every request of the stream.
   ModeSet modes = ModeSet::single(10);

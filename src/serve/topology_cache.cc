@@ -81,8 +81,6 @@ TopologyCacheStats TopologyCache::stats() const {
     out.session_snapshots_dropped += s.snapshots_dropped;
     out.session_tables_dropped += s.tables_dropped;
     out.session_cells_skipped += s.cells_skipped;
-    out.session_subtrees_sealed += s.subtrees_sealed;
-    out.session_sealed_cells += s.sealed_cells_injected;
   }
   return out;
 }

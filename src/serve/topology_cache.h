@@ -79,11 +79,6 @@ struct TopologyCacheStats {
   /// Output cells spliced by lazy root-path joins across resident
   /// sessions (see core/merge_kernel.h) — warm-solve work avoided.
   std::uint64_t session_cells_skipped = 0;
-  /// Frozen-subtree contraction across resident sessions (see
-  /// solver/contracted.h): subtrees sealed into injected leaves, and the
-  /// root-table cells those leaves spliced into contracted merge plans.
-  std::uint64_t session_subtrees_sealed = 0;
-  std::uint64_t session_sealed_cells = 0;
 };
 
 class TopologyCache {

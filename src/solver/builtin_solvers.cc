@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/dp_contract.h"
 #include "core/dp_update.h"
 #include "core/exhaustive.h"
 #include "core/greedy.h"
@@ -22,7 +21,6 @@
 #include "core/power_dp.h"
 #include "core/power_dp_symmetric.h"
 #include "model/placement.h"
-#include "solver/contracted.h"
 #include "solver/registry.h"
 #include "solver/session.h"
 #include "support/check.h"
@@ -72,67 +70,6 @@ Solution finish_frontier(const Instance& in, bool feasible,
   s.breakdown = pick->breakdown;
   s.power = pick->power;
   return s;
-}
-
-// --- Frozen-subtree contraction plumbing -----------------------------------
-
-/// Per-mode pre-existing totals over the *original* scenario: the exact
-/// power DP's root scan prices deletions against the whole tree's E, which
-/// a contracted scenario under-counts (same range CHECK as the engine's
-/// own uncontracted scan).
-std::vector<int> power_pre_totals(const Scenario& scen, int m) {
-  std::vector<int> totals(static_cast<std::size_t>(m), 0);
-  for (NodeId e : scen.pre_existing_nodes()) {
-    const int o = scen.original_mode(e);
-    TREEPLACE_CHECK_MSG(o >= 0 && o < m,
-                        "pre-existing node " << e << " has original mode "
-                                             << o << " outside the ModeSet");
-    ++totals[static_cast<std::size_t>(o)];
-  }
-  return totals;
-}
-
-/// Re-prices a contracted run's frontier on the original instance.  These
-/// are the exact per-point evaluator calls the uncontracted engine makes
-/// in build_frontier, so the reported doubles land bit-identical.
-void reprice_frontier(const Instance& in, PowerDPResult& r) {
-  for (PowerParetoPoint& point : r.frontier) {
-    point.breakdown = evaluate_cost(in.topo(), in.scen(), point.placement,
-                                    in.costs);
-    point.cost = point.breakdown.cost;
-    point.power = total_power(point.placement, in.modes);
-  }
-}
-
-/// Runs a power engine over the contracted twin of `in` and restores the
-/// original-instance view of the result: frontier re-priced, frozen
-/// interiors counted as reused (the twin would have spliced each one).
-template <typename EngineFn>
-PowerDPResult run_contracted_power(
-    const Instance& in, dp::PowerSubtreeCache& full,
-    const contracted::Prepared<dp::PowerNodeState>& prep, PowerDPOptions opts,
-    const EngineFn& engine) {
-  dp::MergePlanCache plans;
-  dp::ContractionView view;
-  view.to_original = prep.map->to_original_map();
-  view.sealed = prep.map->sealed();
-  view.planning_internal = in.topo().num_internal();
-  view.pre_total_per_mode = power_pre_totals(in.scen(), in.modes.count());
-  view.num_pre_existing = in.scen().num_pre_existing();
-  view.expand_sealed = [&in, &full, &plans](NodeId root, std::size_t flat,
-                                            Placement& placement) {
-    reconstruct_power_subtree(in.topo(), full, plans, root, flat, placement);
-  };
-  opts.cache = prep.cache;
-  opts.deltas = prep.deltas;
-  opts.contraction = &view;
-  PowerDPResult r =
-      engine(*prep.map->contracted(), prep.scenario, in.modes, in.costs, opts);
-  Stopwatch reprice;
-  reprice_frontier(in, r);
-  r.stats.phases.evaluate += reprice.seconds();
-  r.stats.nodes_reused += prep.hidden_internal;
-  return r;
 }
 
 // --- Greedy family ---------------------------------------------------------
@@ -265,44 +202,14 @@ class UpdateDpSolver : public Solver {
       }
     }
     const Scenario& scen = multi_mode_pre ? *collapsed : in.scen();
-    MinCostResult r;
     if (session != nullptr) {
-      dp::MinCostSubtreeCache& full = session->min_cost_cache(name());
-      config.cache = &full;
+      config.cache = &session->min_cost_cache(name());
       config.deltas = deltas;
-      // Contraction tracks the scenario the DP actually sees — the
-      // collapsed fork on multi-mode instances — so sealed signatures
-      // grade against the same normalized modes the engine commits.
-      contracted::Prepared<dp::MinCostNodeState> prep = contracted::prepare(
-          *session, full, session->min_cost_contraction(name()), scen,
-          {static_cast<std::uint64_t>(config.capacity)}, deltas);
-      if (prep.active) {
-        dp::MergePlanCache plans;
-        dp::ContractionView view;
-        view.to_original = prep.map->to_original_map();
-        view.sealed = prep.map->sealed();
-        view.planning_internal = in.topo().num_internal();
-        view.num_pre_existing = scen.num_pre_existing();
-        view.expand_sealed = [&in, &full, &plans](NodeId root,
-                                                  std::size_t flat,
-                                                  Placement& placement) {
-          reconstruct_min_cost_subtree(in.topo(), full, plans, root, flat,
-                                       placement);
-        };
-        config.cache = prep.cache;
-        config.deltas = prep.deltas;
-        config.contraction = &view;
-        r = solve_min_cost_with_pre(*prep.map->contracted(), prep.scenario,
-                                    config);
-        // The frozen interiors the twin would have spliced and counted.
-        r.nodes_reused += prep.hidden_internal;
-      } else {
-        r = solve_min_cost_with_pre(in.topo(), scen, config);
-      }
+    }
+    MinCostResult r = solve_min_cost_with_pre(in.topo(), scen, config);
+    if (session != nullptr) {
       session->record_warm(r.nodes_recomputed, r.nodes_reused, r.merge_steps,
                            r.signatures_checked, r.cells_skipped);
-    } else {
-      r = solve_min_cost_with_pre(in.topo(), scen, config);
     }
     return finish_placement(in, r.feasible, std::move(r.placement),
                             {timer.seconds(), r.merge_iterations});
@@ -339,23 +246,9 @@ class PowerExactSolver : public Solver {
     SolveSession& session = *request.session;
     session.check_topology(in.topology);
     PowerDPOptions opts = dp_options();
-    dp::PowerSubtreeCache& full = session.power_cache(name());
-    contracted::Prepared<dp::PowerNodeState> prep = contracted::prepare(
-        session, full, session.power_contraction(name()), in.scen(),
-        dp::capacity_params(in.modes), request.deltas);
-    PowerDPResult r;
-    if (prep.active) {
-      r = run_contracted_power(
-          in, full, prep, opts,
-          [](const Topology& topo, const Scenario& scen, const ModeSet& modes,
-             const CostModel& costs, const PowerDPOptions& o) {
-            return solve_power_exact(topo, scen, modes, costs, o);
-          });
-    } else {
-      opts.cache = &full;
-      opts.deltas = request.deltas;
-      r = run_dp(in, opts);
-    }
+    opts.cache = &session.power_cache(name());
+    opts.deltas = request.deltas;
+    PowerDPResult r = run_dp(in, opts);
     session.record_warm(r.stats);
     return finish(in, std::move(r));
   }
@@ -407,26 +300,9 @@ class PowerSymmetricSolver : public Solver {
     SolveSession& session = *request.session;
     session.check_topology(in.topology);
     PowerDPOptions opts = dp_options();
-    dp::PowerSubtreeCache& full = session.power_cache(name());
-    contracted::Prepared<dp::PowerNodeState> prep = contracted::prepare(
-        session, full, session.power_contraction(name()), in.scen(),
-        dp::capacity_params(in.modes), request.deltas);
-    PowerDPResult r;
-    if (prep.active) {
-      TREEPLACE_CHECK_MSG(in.costs.is_symmetric(),
-                          "power-sym requires a symmetric cost model; use "
-                          "power-exact for general Eq. 4 costs");
-      r = run_contracted_power(
-          in, full, prep, opts,
-          [](const Topology& topo, const Scenario& scen, const ModeSet& modes,
-             const CostModel& costs, const PowerDPOptions& o) {
-            return solve_power_symmetric(topo, scen, modes, costs, o);
-          });
-    } else {
-      opts.cache = &full;
-      opts.deltas = request.deltas;
-      r = run_dp(in, opts);
-    }
+    opts.cache = &session.power_cache(name());
+    opts.deltas = request.deltas;
+    PowerDPResult r = run_dp(in, opts);
     session.record_warm(r.stats);
     return finish(in, std::move(r));
   }

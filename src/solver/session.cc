@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/dp_snapshot.h"
-#include "solver/contracted.h"
 #include "solver/solver.h"
 #include "support/binio.h"
 #include "support/check.h"
@@ -49,21 +48,6 @@ std::size_t cache_bytes(Cache& cache) {
   return total;
 }
 
-/// Drops a contraction without writing anything back.  Used by restore():
-/// the snapshot being swapped in was itself decontracted at save time, so
-/// the restored full caches are complete and the slot's tables are stale.
-/// The sentinel attach (empty params never match a real attach) keeps the
-/// cache from warm-matching a future topology reallocated at the same
-/// address once the map — which owns the contracted topology — dies.
-template <typename NodeState>
-void discard_contraction(ContractionSlot<NodeState>& slot) {
-  if (slot.map != nullptr) {
-    slot.cache.attach(slot.map->contracted().get(), {});
-    slot.map.reset();
-  }
-  slot.active = false;
-}
-
 }  // namespace
 
 SolveSession::SolveSession(std::shared_ptr<const Topology> topology)
@@ -90,22 +74,6 @@ dp::MinCostSubtreeCache& SolveSession::min_cost_cache(const std::string& key) {
   return *slot;
 }
 
-ContractionSlot<dp::PowerNodeState>& SolveSession::power_contraction(
-    const std::string& key) {
-  std::scoped_lock lock(caches_mutex_);
-  auto& slot = power_contractions_[key];
-  if (!slot) slot = std::make_unique<ContractionSlot<dp::PowerNodeState>>();
-  return *slot;
-}
-
-ContractionSlot<dp::MinCostNodeState>& SolveSession::min_cost_contraction(
-    const std::string& key) {
-  std::scoped_lock lock(caches_mutex_);
-  auto& slot = min_cost_contractions_[key];
-  if (!slot) slot = std::make_unique<ContractionSlot<dp::MinCostNodeState>>();
-  return *slot;
-}
-
 SolveSession::Stats SolveSession::stats() const {
   Stats stats;
   stats.warm_solves = warm_solves_.load();
@@ -118,8 +86,6 @@ SolveSession::Stats SolveSession::stats() const {
   stats.bytes_resident = bytes_resident_.load();
   stats.snapshots_dropped = snapshots_dropped_.load();
   stats.tables_dropped = tables_dropped_.load();
-  stats.subtrees_sealed = subtrees_sealed_.load();
-  stats.sealed_cells_injected = sealed_cells_injected_.load();
   stats.root_scan_work = root_scan_work_.load();
   for (std::size_t p = 0; p < kPowerPhases.size(); ++p) {
     stats.phases.*kPowerPhases[p] = to_seconds(phase_ns_[p].load());
@@ -156,12 +122,6 @@ void* SolveSession::attachment(std::shared_ptr<void> (*make)()) {
 }
 
 void SolveSession::record_cold() { cold_solves_.fetch_add(1); }
-
-void SolveSession::record_contraction(std::uint64_t sealed,
-                                      std::uint64_t cells) {
-  subtrees_sealed_.fetch_add(sealed);
-  sealed_cells_injected_.fetch_add(cells);
-}
 
 void SolveSession::enforce_budget() {
   // Unbudgeted sessions (the default) skip the accounting walk entirely:
@@ -265,19 +225,11 @@ std::size_t SolveSession::compact() {
   std::scoped_lock solve_lock(solve_mutex_);
   std::vector<dp::PowerSubtreeCache*> power;
   std::vector<dp::MinCostSubtreeCache*> min_cost;
-  std::vector<ContractionSlot<dp::PowerNodeState>*> power_slots;
-  std::vector<ContractionSlot<dp::MinCostNodeState>*> min_cost_slots;
   {
     std::scoped_lock lock(caches_mutex_);
     for (auto& [key, cache] : power_caches_) power.push_back(cache.get());
     for (auto& [key, cache] : min_cost_caches_) {
       min_cost.push_back(cache.get());
-    }
-    for (auto& [key, slot] : power_contractions_) {
-      power_slots.push_back(slot.get());
-    }
-    for (auto& [key, slot] : min_cost_contractions_) {
-      min_cost_slots.push_back(slot.get());
     }
   }
   std::size_t total = 0;
@@ -289,18 +241,6 @@ std::size_t SolveSession::compact() {
     cache->pack_all();
     total += cache_bytes(*cache);
   }
-  // Active contractions carry the live open-node tables in their own
-  // cache; pack and count those too (decontract unpacks what it copies).
-  for (auto* slot : power_slots) {
-    if (!slot->active) continue;
-    slot->cache.pack_all();
-    total += cache_bytes(slot->cache);
-  }
-  for (auto* slot : min_cost_slots) {
-    if (!slot->active) continue;
-    slot->cache.pack_all();
-    total += cache_bytes(slot->cache);
-  }
   return total;
 }
 
@@ -308,67 +248,21 @@ std::size_t SolveSession::resident_bytes() {
   std::scoped_lock solve_lock(solve_mutex_);
   std::vector<dp::PowerSubtreeCache*> power;
   std::vector<dp::MinCostSubtreeCache*> min_cost;
-  std::vector<ContractionSlot<dp::PowerNodeState>*> power_slots;
-  std::vector<ContractionSlot<dp::MinCostNodeState>*> min_cost_slots;
   {
     std::scoped_lock lock(caches_mutex_);
     for (auto& [key, cache] : power_caches_) power.push_back(cache.get());
     for (auto& [key, cache] : min_cost_caches_) {
       min_cost.push_back(cache.get());
     }
-    for (auto& [key, slot] : power_contractions_) {
-      power_slots.push_back(slot.get());
-    }
-    for (auto& [key, slot] : min_cost_contractions_) {
-      min_cost_slots.push_back(slot.get());
-    }
   }
   std::size_t total = 0;
   for (auto* cache : power) total += cache_bytes(*cache);
   for (auto* cache : min_cost) total += cache_bytes(*cache);
-  for (auto* slot : power_slots) {
-    if (slot->active) total += cache_bytes(slot->cache);
-  }
-  for (auto* slot : min_cost_slots) {
-    if (slot->active) total += cache_bytes(slot->cache);
-  }
   return total;
 }
 
 void SolveSession::save(binio::Writer& w) {
   std::scoped_lock solve_lock(solve_mutex_);
-  // Fold active contractions back into the full caches first: the
-  // snapshot format stays contraction-free, a contracted-warm session
-  // serializes to the same bytes as its uncontracted twin, and a restored
-  // shard simply re-contracts on its first delta batch.
-  {
-    std::vector<std::pair<ContractionSlot<dp::PowerNodeState>*,
-                          dp::PowerSubtreeCache*>>
-        power_active;
-    std::vector<std::pair<ContractionSlot<dp::MinCostNodeState>*,
-                          dp::MinCostSubtreeCache*>>
-        min_cost_active;
-    {
-      std::scoped_lock lock(caches_mutex_);
-      for (auto& [key, slot] : power_contractions_) {
-        if (slot->active) {
-          power_active.emplace_back(slot.get(), power_caches_.at(key).get());
-        }
-      }
-      for (auto& [key, slot] : min_cost_contractions_) {
-        if (slot->active) {
-          min_cost_active.emplace_back(slot.get(),
-                                       min_cost_caches_.at(key).get());
-        }
-      }
-    }
-    for (auto& [slot, cache] : power_active) {
-      contracted::decontract(*cache, *slot);
-    }
-    for (auto& [slot, cache] : min_cost_active) {
-      contracted::decontract(*cache, *slot);
-    }
-  }
   // Snapshot the cache pointers under the map lock, then write in sorted
   // name order so identical sessions serialize to identical bytes
   // (unordered_map iteration order is not stable).
@@ -452,35 +346,12 @@ void SolveSession::restore(binio::Reader& r) {
   for (auto& [name, cache] : min_cost) {
     min_cost_caches_[name] = std::move(cache);
   }
-  // The restored full caches are authoritative (save() decontracts before
-  // writing); any live contraction's tables are now stale — discard them.
-  for (auto& [name, slot] : power_contractions_) discard_contraction(*slot);
-  for (auto& [name, slot] : min_cost_contractions_) {
-    discard_contraction(*slot);
-  }
 }
 
-// Base implementations of the unified entry point and its deprecated
-// alias; defined here so solver.h stays free of the session's definition.
-// They forward to each other through the virtual dispatch so both call
-// styles reach whichever one a strategy actually overrides: pre-redesign
-// solvers override solve_incremental() (reached via the unified base),
-// in-tree solvers override solve(const SolveRequest&) (reached via the
-// legacy base).  A strategy advertising kIncremental must override one of
-// the two.
+// Defined here so solver.h stays free of the session's definition.
 Solution Solver::solve(const SolveRequest& request) const {
-  if (request.session != nullptr && supports_incremental()) {
-    return solve_incremental(request.instance, request.deltas,
-                             *request.session);
-  }
   if (request.session != nullptr) request.session->record_cold();
   return solve(request.instance);
-}
-
-Solution Solver::solve_incremental(const Instance& instance,
-                                   std::span<const ScenarioDelta> deltas,
-                                   SolveSession& session) const {
-  return solve(SolveRequest{instance, deltas, &session});
 }
 
 }  // namespace treeplace

@@ -15,7 +15,8 @@
 //     (SubtreeCache::attach wipes on a topology change), so a misused
 //     session degrades to cold solves, never to wrong results.
 //   * Warm solves sharing a session must be serialized: hold solve_mutex()
-//     across each Solver::solve_incremental call (SolveDispatcher does).
+//     across each Solver::solve(SolveRequest) call that carries the session
+//     (SolveDispatcher does).
 //     The stats counters are atomics and may be read concurrently.
 //   * Results are bit-identical to cold solves by construction; only the
 //     work counters (merge pairs, table cells) shrink.
@@ -36,7 +37,6 @@
 
 #include "core/dp_cache.h"
 #include "core/power_common.h"
-#include "tree/contract.h"
 #include "tree/topology.h"
 
 namespace treeplace {
@@ -46,39 +46,12 @@ class Writer;
 class Reader;
 }  // namespace binio
 
-/// Per-(engine, key) frozen-subtree contraction state (see tree/contract.h
-/// and solver/contracted.h): the id mapping — which owns the contracted
-/// topology — plus a second SubtreeCache holding the contracted tree's
-/// tables.  While `active`, the contracted cache is authoritative for open
-/// nodes and the session's full cache for everything frozen; decontract()
-/// (solver/contracted.h) writes the open states back and deactivates.
-template <typename NodeState>
-struct ContractionSlot {
-  std::unique_ptr<Contraction> map;
-  dp::SubtreeCache<NodeState> cache;
-  bool active = false;
-};
-
 class SolveSession {
  public:
   struct Options {
     /// Byte budget for all of this session's cached DP state; 0 = no
     /// limit.  Enforced after every warm solve (see enforce_budget()).
     std::size_t max_bytes = 0;
-    /// Frozen-subtree contraction (tree/contract.h): warm delta solves
-    /// run over a contracted tree in which every maximal untouched
-    /// subtree is a sealed leaf carrying its cached root table, so
-    /// per-tick work scales with the dirty region instead of N.  Results
-    /// are bit-identical to uncontracted warm solves.  Off by default;
-    /// ignored while max_bytes > 0 (budget shedding could evict the very
-    /// tables a sealed leaf splices in).
-    bool contract = false;
-    /// Contraction is only built above this original internal-node count
-    /// (below it the bookkeeping outweighs the skipped merges).
-    std::size_t contract_min_internal = 64;
-    /// Required shrink: contract only while contracted-internal-count *
-    /// this factor <= original internal count.
-    std::size_t contract_min_shrink = 4;
   };
 
   explicit SolveSession(std::shared_ptr<const Topology> topology);
@@ -103,7 +76,7 @@ class SolveSession {
                         "topology (sessions are per-topology)");
   }
 
-  /// Serializes warm solves: hold across a solve_incremental() call that
+  /// Serializes warm solves: hold across a solve(SolveRequest) call that
   /// was handed this session.  serve::SolveDispatcher already runs a
   /// session's warm solves one at a time (see attachment()); there the
   /// mutex only excludes save()/compact().
@@ -123,14 +96,6 @@ class SolveSession {
   /// (their boxes have different dimensionality).
   dp::PowerSubtreeCache& power_cache(const std::string& key);
   dp::MinCostSubtreeCache& min_cost_cache(const std::string& key);
-
-  /// Per-engine contraction slots (Options::contract), created on first
-  /// use and keyed like the caches.  Managed by solver/contracted.h's
-  /// prepare()/decontract() under solve_mutex().
-  ContractionSlot<dp::PowerNodeState>& power_contraction(
-      const std::string& key);
-  ContractionSlot<dp::MinCostNodeState>& min_cost_contraction(
-      const std::string& key);
 
   struct Stats {
     std::uint64_t warm_solves = 0;  ///< solves that went through a cache
@@ -152,13 +117,6 @@ class SolveSession {
     std::uint64_t bytes_resident = 0;  ///< after the last warm solve
     std::uint64_t snapshots_dropped = 0;
     std::uint64_t tables_dropped = 0;
-    /// Frozen-subtree contraction (Options::contract): maximal untouched
-    /// subtrees sealed into leaves across all contraction builds, and the
-    /// cached root-table cells those sealed leaves injected into the
-    /// contracted solves.  Counted once per contraction build, not per
-    /// solve — a reused contraction injects nothing new.
-    std::uint64_t subtrees_sealed = 0;
-    std::uint64_t sealed_cells_injected = 0;
     /// The power engines' root-join scan work (PowerSolveStats::
     /// root_scan_work) summed over their warm solves.
     std::uint64_t root_scan_work = 0;
@@ -179,9 +137,6 @@ class SolveSession {
   void record_warm(const PowerSolveStats& stats);
   /// Called by the base-class cold fallback.
   void record_cold();
-  /// Called by solver/contracted.h's preload() with the sealed-leaf count
-  /// and injected-cell total of a freshly built contraction.
-  void record_contraction(std::uint64_t sealed, std::uint64_t cells);
 
   /// Serializes every per-engine cache to `w`: magic + format version +
   /// topology structural hash, each cache's full warm-start state (see
@@ -231,12 +186,6 @@ class SolveSession {
       power_caches_;
   std::unordered_map<std::string, std::unique_ptr<dp::MinCostSubtreeCache>>
       min_cost_caches_;
-  std::unordered_map<std::string,
-                     std::unique_ptr<ContractionSlot<dp::PowerNodeState>>>
-      power_contractions_;
-  std::unordered_map<std::string,
-                     std::unique_ptr<ContractionSlot<dp::MinCostNodeState>>>
-      min_cost_contractions_;
   std::atomic<std::uint64_t> warm_solves_{0};
   std::atomic<std::uint64_t> cold_solves_{0};
   std::atomic<std::uint64_t> nodes_recomputed_{0};
@@ -247,8 +196,6 @@ class SolveSession {
   std::atomic<std::uint64_t> bytes_resident_{0};
   std::atomic<std::uint64_t> snapshots_dropped_{0};
   std::atomic<std::uint64_t> tables_dropped_{0};
-  std::atomic<std::uint64_t> subtrees_sealed_{0};
-  std::atomic<std::uint64_t> sealed_cells_injected_{0};
   std::atomic<std::uint64_t> root_scan_work_{0};
   /// PowerPhaseSeconds sums in nanoseconds (atomic integer adds), one per
   /// kPowerPhases entry.

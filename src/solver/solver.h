@@ -23,10 +23,8 @@ namespace treeplace {
 
 class SolveSession;  // solver/session.h
 
-/// Capability bits a strategy advertises through Solver::caps().  Replaces
-/// the per-capability virtual-probe scatter (supports_incremental() & co):
-/// generic consumers test bits, new capabilities add bits instead of
-/// virtuals.
+/// Capability bits a strategy advertises through Solver::caps(): generic
+/// consumers test bits, new capabilities add bits instead of virtuals.
 enum class SolverCaps : std::uint32_t {
   kNone = 0,
   /// solve() with a session actually reuses SolveSession DP state (a
@@ -47,10 +45,13 @@ inline constexpr bool any(SolverCaps c) { return c != SolverCaps::kNone; }
 /// The unified solve entry point's argument: an instance, optionally
 /// paired with a persistent session and the scenario edits since that
 /// session's previous solve.  `deltas` without `session` is meaningless
-/// and ignored; `session` without `deltas` selects the full signature
-/// sweep (always correct).  The delta-span contract is the one documented
-/// on the legacy solve_incremental(): a non-empty span must name *every*
-/// edit since the session's previous solve.
+/// and ignored.  The delta-span contract: a non-empty span must name
+/// *every* edit since the session's previous solve — relative to the
+/// previously solved scenario, or to a common base scenario both solves'
+/// spans fork from (the serving loop's pattern).  Small complete spans let
+/// the engines skip the O(N) per-node signature sweep (see
+/// core/dp_cache.h); an empty span always selects the full signature diff
+/// (always correct).
 struct SolveRequest {
   const Instance& instance;
   std::span<const ScenarioDelta> deltas = {};
@@ -144,39 +145,14 @@ class Solver {
   /// solve(request.instance) either way; only the work shrinks.  With a
   /// session the caller must hold request.session->solve_mutex() across
   /// the call (SolveDispatcher does); without one this is a plain
-  /// thread-safe cold solve.  The base implementation routes to the
-  /// legacy solve_incremental() so pre-redesign out-of-tree solvers keep
-  /// working; in-tree strategies override this directly.
+  /// thread-safe cold solve.  The base implementation records a cold
+  /// solve on the session (if any), then runs solve(request.instance).
   virtual Solution solve(const SolveRequest& request) const;
 
   /// Capability bits (see SolverCaps).  The default advertises nothing;
-  /// strategies with warm-start support return kIncremental.  A solver
-  /// advertising kIncremental must override solve(const SolveRequest&) or
-  /// the legacy solve_incremental() — the two base implementations
-  /// forward to each other.
+  /// strategies with warm-start support return kIncremental and must
+  /// override solve(const SolveRequest&).
   virtual SolverCaps caps() const { return SolverCaps::kNone; }
-
-  /// Deprecated probe, kept as a thin forwarder over caps() so existing
-  /// callers and out-of-tree overriders compile unchanged.  New code
-  /// tests `any(caps() & SolverCaps::kIncremental)`.
-  virtual bool supports_incremental() const {
-    return any(caps() & SolverCaps::kIncremental);
-  }
-
-  /// Deprecated entry point, kept so out-of-tree incremental solvers (and
-  /// their callers) compile unchanged; new code passes a SolveRequest to
-  /// solve().  The delta-span contract: a non-empty span must name
-  /// *every* edit since the session's previous solve — relative to the
-  /// previously solved scenario, or to a common base scenario both
-  /// solves' spans fork from (the serving loop's pattern).  Small
-  /// complete spans let the engines skip the O(N) per-node signature
-  /// sweep (see core/dp_cache.h); an empty span always selects the full
-  /// signature diff.  The caller must serialize calls sharing one session
-  /// (hold session.solve_mutex()).  The base implementation forwards to
-  /// the unified solve().
-  virtual Solution solve_incremental(const Instance& instance,
-                                     std::span<const ScenarioDelta> deltas,
-                                     SolveSession& session) const;
 
  private:
   SolverInfo info_;

@@ -2,7 +2,7 @@
 // stream and of every delta-aware (warm-start) solve.
 //
 // ScenarioDelta started life inside the serve layer's request parser, but
-// the core solvers now consume delta spans too (Solver::solve_incremental),
+// the core solvers now consume delta spans too (SolveRequest::deltas),
 // so the type lives with the Scenario it edits; serve/request_stream.h
 // re-exports it under its old name for stream code.  A delta names the
 // *operation*, not its effect: apply_delta() is the one place the four

@@ -47,8 +47,6 @@ TREEPLACE_ASSERT_U64(SolveSession::Stats::cells_skipped);
 TREEPLACE_ASSERT_U64(SolveSession::Stats::bytes_resident);
 TREEPLACE_ASSERT_U64(SolveSession::Stats::snapshots_dropped);
 TREEPLACE_ASSERT_U64(SolveSession::Stats::tables_dropped);
-TREEPLACE_ASSERT_U64(SolveSession::Stats::subtrees_sealed);
-TREEPLACE_ASSERT_U64(SolveSession::Stats::sealed_cells_injected);
 TREEPLACE_ASSERT_U64(serve::ConnectionStats::bytes_in);
 TREEPLACE_ASSERT_U64(serve::ConnectionStats::bytes_out);
 TREEPLACE_ASSERT_U64(serve::ConnectionStats::requests);
@@ -68,8 +66,6 @@ TREEPLACE_ASSERT_U64(serve::StreamServerSummary::over_budget);
 TREEPLACE_ASSERT_U64(serve::TopologyCacheStats::hits);
 TREEPLACE_ASSERT_U64(serve::TopologyCacheStats::session_bytes);
 TREEPLACE_ASSERT_U64(serve::TopologyCacheStats::session_cells_skipped);
-TREEPLACE_ASSERT_U64(serve::TopologyCacheStats::session_subtrees_sealed);
-TREEPLACE_ASSERT_U64(serve::TopologyCacheStats::session_sealed_cells);
 
 #undef TREEPLACE_ASSERT_U64
 
@@ -84,7 +80,6 @@ TEST(CounterAuditTest, SessionAccumulatorsSurviveThe32BitBoundary) {
   const std::uint64_t step = (std::uint64_t{1} << 31) + 7;
   for (int i = 0; i < 5; ++i) {
     session.record_warm(step, step, step, step, step);
-    session.record_contraction(step, step);
   }
   const SolveSession::Stats stats = session.stats();
   const std::uint64_t expected = 5 * step;
@@ -95,8 +90,6 @@ TEST(CounterAuditTest, SessionAccumulatorsSurviveThe32BitBoundary) {
   EXPECT_EQ(stats.merge_steps, expected);
   EXPECT_EQ(stats.signatures_checked, expected);
   EXPECT_EQ(stats.cells_skipped, expected);
-  EXPECT_EQ(stats.subtrees_sealed, expected);
-  EXPECT_EQ(stats.sealed_cells_injected, expected);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Warm-start solves must be bit-identical to cold solves.
 //
-// The SolveSession layer promises that solve_incremental() over a
+// The SolveSession layer promises that a solve(SolveRequest) over a
 // persistent session returns exactly what solve() returns on the same
 // instance — same feasibility, placements, cost/power accounting and
 // frontier — while recomputing only the dirty subtrees.  These tests fuzz
@@ -125,7 +125,7 @@ void run_fuzz(const FuzzSetup& setup, int solver_threads) {
   const auto cold_solver = make_solver(setup.algo);
   warm_solver->set_options(Solver::Options{solver_threads});
   cold_solver->set_options(Solver::Options{solver_threads});
-  ASSERT_TRUE(warm_solver->supports_incremental());
+  ASSERT_TRUE(any(warm_solver->caps() & SolverCaps::kIncremental));
 
   for (std::uint64_t index = 0; index < 2; ++index) {
     Tree tree = make_fuzz_tree(77, index, setup.num_internal);
@@ -147,7 +147,7 @@ void run_fuzz(const FuzzSetup& setup, int solver_threads) {
                          std::nullopt};
       const Solution cold = cold_solver->solve(instance);
       const Solution warm =
-          warm_solver->solve_incremental(instance, deltas, session);
+          warm_solver->solve(SolveRequest{instance, deltas, &session});
       expect_identical(warm, cold,
                        setup.algo + " threads=" +
                            std::to_string(solver_threads) + " tree=" +
@@ -197,7 +197,7 @@ TEST(IncrementalSolveTest, SingleClientDeltaRecomputesOnlyTheRootPath) {
 
   const Instance base{tree.topology_ptr(), tree.scenario(), modes, costs,
                       std::nullopt};
-  solver->solve_incremental(base, {}, session);
+  solver->solve(SolveRequest{base, {}, &session});
   const SolveSession::Stats after_cold = session.stats();
   EXPECT_EQ(after_cold.nodes_recomputed, tree.num_internal());
   EXPECT_EQ(after_cold.nodes_reused, 0u);
@@ -209,7 +209,7 @@ TEST(IncrementalSolveTest, SingleClientDeltaRecomputesOnlyTheRootPath) {
   apply_delta(tree.scenario(), deltas.front());
   const Instance edited{tree.topology_ptr(), tree.scenario(), modes, costs,
                         std::nullopt};
-  solver->solve_incremental(edited, deltas, session);
+  solver->solve(SolveRequest{edited, deltas, &session});
   const SolveSession::Stats after_warm = session.stats();
 
   std::size_t path_len = 0;
@@ -254,7 +254,7 @@ TEST(IncrementalSolveTest, StarDeltaRedoesLogKMergeSteps) {
                  : Instance{tree.topology_ptr(), tree.scenario(), modes,
                             costs, std::nullopt};
     };
-    solver->solve_incremental(instance(), {}, session);
+    solver->solve(SolveRequest{instance(), {}, &session});
     const SolveSession::Stats cold = session.stats();
     // Cold: every slot of the root's merge tree plus nothing per leaf
     // child (they have no internal children of their own) — except, for
@@ -269,7 +269,7 @@ TEST(IncrementalSolveTest, StarDeltaRedoesLogKMergeSteps) {
     const std::vector<ScenarioDelta> deltas{
         ScenarioDelta::set_requests(client, tree.requests(client) + 1)};
     apply_delta(tree.scenario(), deltas.front());
-    solver->solve_incremental(instance(), deltas, session);
+    solver->solve(SolveRequest{instance(), deltas, &session});
     const SolveSession::Stats warm = session.stats();
 
     const std::uint64_t redo = warm.merge_steps - cold.merge_steps;
@@ -309,7 +309,7 @@ TEST(IncrementalSolveTest, WarmSolveSplicesCellsThroughLazyJoins) {
                  : Instance{tree.topology_ptr(), tree.scenario(), modes,
                             costs, std::nullopt};
     };
-    warm_solver->solve_incremental(instance(), {}, session);
+    warm_solver->solve(SolveRequest{instance(), {}, &session});
     // A cold solve has no snapshots to splice from.
     EXPECT_EQ(session.stats().cells_skipped, 0u) << algo;
 
@@ -318,7 +318,7 @@ TEST(IncrementalSolveTest, WarmSolveSplicesCellsThroughLazyJoins) {
         ScenarioDelta::set_requests(client, tree.requests(client) + 1)};
     apply_delta(tree.scenario(), deltas.front());
     const Solution warm =
-        warm_solver->solve_incremental(instance(), deltas, session);
+        warm_solver->solve(SolveRequest{instance(), deltas, &session});
     const Solution cold = cold_solver->solve(instance());
     expect_identical(warm, cold, std::string(algo) + " lazy warm");
     EXPECT_LE(warm.stats.work, cold.stats.work) << algo;
@@ -352,7 +352,7 @@ TEST(IncrementalSolveTest, BurstDeltaBatchKeepsTheLazyJoinPath) {
                  : Instance{tree.topology_ptr(), tree.scenario(), modes,
                             costs, std::nullopt};
     };
-    warm_solver->solve_incremental(instance(), {}, session);
+    warm_solver->solve(SolveRequest{instance(), {}, &session});
 
     Xoshiro256 rng(0x6b75u * static_cast<std::uint64_t>(algo[0]));
     std::uint64_t spliced_steps = 0;
@@ -369,7 +369,7 @@ TEST(IncrementalSolveTest, BurstDeltaBatchKeepsTheLazyJoinPath) {
       }
       const std::uint64_t before = session.stats().cells_skipped;
       const Solution warm =
-          warm_solver->solve_incremental(instance(), deltas, session);
+          warm_solver->solve(SolveRequest{instance(), deltas, &session});
       expect_identical(warm, cold_solver->solve(instance()),
                        std::string(algo) + " burst step " +
                            std::to_string(step));
@@ -394,14 +394,14 @@ TEST(IncrementalSolveTest, ByteBudgetShedsColdestSubtreesFirst) {
     const NodeId hot_client = tree.client_ids()[kFanout / 2];
     const Instance base{tree.topology_ptr(), tree.scenario(), modes, costs,
                         std::nullopt};
-    solver->solve_incremental(base, {}, session);
+    solver->solve(SolveRequest{base, {}, &session});
     for (int step = 0; step < 4; ++step) {
       const std::vector<ScenarioDelta> deltas{ScenarioDelta::set_requests(
           hot_client, tree.requests(hot_client) + 1)};
       apply_delta(tree.scenario(), deltas.front());
       const Instance edited{tree.topology_ptr(), tree.scenario(), modes,
                             costs, std::nullopt};
-      solver->solve_incremental(edited, deltas, session);
+      solver->solve(SolveRequest{edited, deltas, &session});
     }
     return hot_client;
   };
@@ -461,7 +461,7 @@ TEST(IncrementalSolveTest, SmallDeltaSkipsTheSignatureSweep) {
 
   const Instance base{tree.topology_ptr(), tree.scenario(), modes, costs,
                       std::nullopt};
-  warm_solver->solve_incremental(base, {}, session);
+  warm_solver->solve(SolveRequest{base, {}, &session});
   const std::uint64_t n = tree.num_internal();
   // A cold attach has nothing to diff against: zero checks.
   EXPECT_EQ(session.stats().signatures_checked, 0u);
@@ -472,8 +472,8 @@ TEST(IncrementalSolveTest, SmallDeltaSkipsTheSignatureSweep) {
     apply_delta(tree.scenario(), deltas.front());
     const Instance edited{tree.topology_ptr(), tree.scenario(), modes, costs,
                           std::nullopt};
-    const Solution warm = warm_solver->solve_incremental(edited, deltas,
-                                                         session);
+    const Solution warm =
+        warm_solver->solve(SolveRequest{edited, deltas, &session});
     expect_identical(warm, cold_solver->solve(edited), "delta step");
   };
 
@@ -493,8 +493,8 @@ TEST(IncrementalSolveTest, SmallDeltaSkipsTheSignatureSweep) {
   apply_delta(tree.scenario(), clear.front());
   const Instance cleared{tree.topology_ptr(), tree.scenario(), modes, costs,
                          std::nullopt};
-  const Solution warm2 = warm_solver->solve_incremental(cleared, clear,
-                                                        session);
+  const Solution warm2 =
+      warm_solver->solve(SolveRequest{cleared, clear, &session});
   EXPECT_EQ(session.stats().signatures_checked, after_fast + n);
   expect_identical(warm2, cold_solver->solve(cleared), "sweep fallback");
 }
@@ -521,7 +521,7 @@ TEST(IncrementalSolveTest, ByteBudgetShedsStateButKeepsResults) {
     const Instance instance{tree.topology_ptr(), tree.scenario(), modes,
                             costs, std::nullopt};
     const Solution warm =
-        warm_solver->solve_incremental(instance, deltas, session);
+        warm_solver->solve(SolveRequest{instance, deltas, &session});
     expect_identical(warm, cold_solver->solve(instance),
                      "budget step " + std::to_string(step));
   }
@@ -532,10 +532,11 @@ TEST(IncrementalSolveTest, ByteBudgetShedsStateButKeepsResults) {
   // An unbounded session never sheds (and skips the accounting walk:
   // bytes_resident stays untracked at 0).
   SolveSession unbounded(tree.topology_ptr());
-  warm_solver->solve_incremental(
+  warm_solver->solve(SolveRequest{
       Instance{tree.topology_ptr(), tree.scenario(), modes, costs,
                std::nullopt},
-      {}, unbounded);
+      {},
+      &unbounded});
   EXPECT_EQ(unbounded.stats().snapshots_dropped, 0u);
   EXPECT_EQ(unbounded.stats().tables_dropped, 0u);
   EXPECT_EQ(unbounded.stats().bytes_resident, 0u);
@@ -550,18 +551,18 @@ TEST(IncrementalSolveTest, RejectsInstanceOfDifferentTopology) {
   const CostModel costs = CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001);
   const Instance other{b.topology_ptr(), b.scenario(), modes, costs,
                        std::nullopt};
-  EXPECT_THROW(solver->solve_incremental(other, {}, session), CheckError);
+  EXPECT_THROW(solver->solve(SolveRequest{other, {}, &session}), CheckError);
 }
 
 TEST(IncrementalSolveTest, NonIncrementalSolverFallsBackCold) {
   Tree tree = make_fuzz_tree(79, 0, 16);
   const auto solver = make_solver("greedy");
-  EXPECT_FALSE(solver->supports_incremental());
+  EXPECT_FALSE(any(solver->caps() & SolverCaps::kIncremental));
   SolveSession session(tree.topology_ptr());
   const Instance instance =
       Instance::single_mode(tree.topology_ptr(), tree.scenario(), 10, 0.1,
                             0.01);
-  const Solution warm = solver->solve_incremental(instance, {}, session);
+  const Solution warm = solver->solve(SolveRequest{instance, {}, &session});
   const Solution cold = solver->solve(instance);
   expect_identical(warm, cold, "greedy fallback");
   EXPECT_EQ(session.stats().cold_solves, 1u);

@@ -363,14 +363,11 @@ TEST(SessionSnapshotTest, CompactShrinksLosslesslyUpdateDp) {
 }
 
 // ---------------------------------------------------------------------------
-// Contraction: snapshots are contraction-free (save() decontracts first),
-// so persistence is oblivious to whether a session ran its warm days on
-// contracted trees — same bytes, same restore, and a restored shard
-// re-contracts by itself on its next localized batch.
+// Byte-flip fuzz over a power-engine session (RejectionRig below uses
+// update-dp).
 
-/// Star of chains (16 arms x 3 internal links, a client per link): deep
-/// enough that contraction hides real interiors, small enough that one
-/// hot arm passes the delta fast-path gate.
+/// Star of chains (16 arms x 3 internal links, a client per link) with a
+/// pre-existing server on every third arm.
 Tree make_chain_star() {
   TreeBuilder builder;
   const NodeId root = builder.add_root();
@@ -385,72 +382,7 @@ Tree make_chain_star() {
   return std::move(builder).build();
 }
 
-SolveSession::Options contract_options() {
-  SolveSession::Options options;
-  options.contract = true;
-  options.contract_min_internal = 32;
-  options.contract_min_shrink = 2;
-  return options;
-}
-
-TEST(SessionSnapshotTest, ContractedSessionSnapshotsDecontractLosslessly) {
-  Tree tree = make_chain_star();
-  const ModeSet modes({5, 10}, 12.5, 3.0);
-  const CostModel costs = CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001);
-  const auto solver = make_solver("power-sym");
-  const auto cold_solver = make_solver("power-sym");
-  const auto instance = [&](Tree& t) {
-    return Instance{t.topology_ptr(), t.scenario(), modes, costs,
-                    std::nullopt};
-  };
-
-  // Warm a contract-enabled session and a plain twin over the same hot-arm
-  // day until the contracted one has actually sealed subtrees.
-  SolveSession contracted(tree.topology_ptr(), contract_options());
-  SolveSession plain(tree.topology_ptr());
-  const NodeId hot = tree.client_ids()[2];  // the first arm's deepest client
-  std::vector<ScenarioDelta> history;
-  solver->solve(SolveRequest{instance(tree), {}, &contracted});
-  solver->solve(SolveRequest{instance(tree), {}, &plain});
-  for (int step = 0; step < 4; ++step) {
-    const std::vector<ScenarioDelta> deltas{
-        ScenarioDelta::set_requests(hot, 1 + step % 4)};
-    apply_delta(tree.scenario(), deltas.front());
-    history.push_back(deltas.front());
-    solver->solve(SolveRequest{instance(tree), deltas, &contracted});
-    solver->solve(SolveRequest{instance(tree), deltas, &plain});
-  }
-  ASSERT_GT(contracted.stats().subtrees_sealed, 0u);
-
-  // save() writes back the live contraction first, so a contracted-warm
-  // session serializes to the exact bytes of its uncontracted twin — the
-  // snapshot format never sees contraction state.
-  const std::string bytes = save_to_bytes(contracted);
-  EXPECT_EQ(bytes, save_to_bytes(plain));
-  // And deterministically: the second save (now decontracted) matches.
-  EXPECT_EQ(bytes, save_to_bytes(contracted));
-
-  // Restore into a contract-enabled session over a separately built
-  // identical topology; it must go warm immediately AND re-contract on
-  // its own once the day stays localized.
-  Tree tree2 = make_chain_star();
-  for (const ScenarioDelta& d : history) apply_delta(tree2.scenario(), d);
-  SolveSession restored(tree2.topology_ptr(), contract_options());
-  restore_from_bytes(restored, bytes);
-  for (int step = 0; step < 3; ++step) {
-    const std::vector<ScenarioDelta> deltas{
-        ScenarioDelta::set_requests(hot, 2 + step % 3)};
-    apply_delta(tree2.scenario(), deltas.front());
-    const Solution warm =
-        solver->solve(SolveRequest{instance(tree2), deltas, &restored});
-    expect_identical(warm, cold_solver->solve(instance(tree2)),
-                     "restored contracted step " + std::to_string(step));
-  }
-  EXPECT_EQ(restored.stats().cold_solves, 0u);
-  EXPECT_GT(restored.stats().subtrees_sealed, 0u);
-}
-
-TEST(SessionSnapshotTest, ContractedSnapshotCorruptionRejectedCleanly) {
+TEST(SessionSnapshotTest, PowerSymSnapshotCorruptionRejectedCleanly) {
   Tree tree = make_chain_star();
   const ModeSet modes({5, 10}, 12.5, 3.0);
   const CostModel costs = CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001);
@@ -461,7 +393,7 @@ TEST(SessionSnapshotTest, ContractedSnapshotCorruptionRejectedCleanly) {
                     std::nullopt};
   };
 
-  SolveSession session(tree.topology_ptr(), contract_options());
+  SolveSession session(tree.topology_ptr());
   const NodeId hot = tree.client_ids()[2];
   solver->solve(SolveRequest{instance(), {}, &session});
   for (int step = 0; step < 3; ++step) {
@@ -470,32 +402,33 @@ TEST(SessionSnapshotTest, ContractedSnapshotCorruptionRejectedCleanly) {
     apply_delta(tree.scenario(), deltas.front());
     solver->solve(SolveRequest{instance(), deltas, &session});
   }
-  ASSERT_GT(session.stats().subtrees_sealed, 0u);
   const std::string bytes = save_to_bytes(session);
 
   // Flip sampled bytes across the whole snapshot: every corruption must
-  // throw, and the contract-enabled target must stay untouched — still
-  // able to solve bit-identically and go contracted-warm afterwards.
+  // throw, and the target must stay untouched — still able to solve
+  // bit-identically afterwards.
   const std::size_t stride = std::max<std::size_t>(1, bytes.size() / 29);
   for (std::size_t i = 0; i < bytes.size(); i += stride) {
     std::string corrupted = bytes;
     corrupted[i] = static_cast<char>(corrupted[i] ^ 0x5A);
-    SolveSession target(tree.topology_ptr(), contract_options());
+    SolveSession target(tree.topology_ptr());
     EXPECT_THROW(restore_from_bytes(target, corrupted), CheckError)
         << "flipped byte " << i << " not rejected";
     const Solution warm = solver->solve(SolveRequest{instance(), {}, &target});
     expect_identical(warm, cold_solver->solve(instance()),
-                     "post-failed-restore contracted solve");
+                     "post-failed-restore solve");
   }
 
-  // The pristine bytes still restore fine into a contract-enabled session.
-  SolveSession target(tree.topology_ptr(), contract_options());
+  // The pristine bytes still restore fine, and warm: the next delta
+  // solve splices the restored subtree tables.
+  SolveSession target(tree.topology_ptr());
   restore_from_bytes(target, bytes);
   const std::vector<ScenarioDelta> deltas{ScenarioDelta::set_requests(hot, 4)};
   apply_delta(tree.scenario(), deltas.front());
   expect_identical(solver->solve(SolveRequest{instance(), deltas, &target}),
                    cold_solver->solve(instance()),
                    "restore-after-corruption-fuzz");
+  EXPECT_GT(target.stats().nodes_reused, 0u);
 }
 
 // ---------------------------------------------------------------------------

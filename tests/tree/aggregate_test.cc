@@ -145,10 +145,10 @@ void run_fuzz(const std::string& algo, int solver_threads) {
         apply_delta(agg_scenario, delta);
       }
       const auto [orig_instance, agg_instance] = make_instances();
-      const Solution orig =
-          orig_solver->solve_incremental(orig_instance, deltas, orig_session);
-      const Solution agg = agg_solver->solve_incremental(
-          agg_instance, agg_deltas, agg_session);
+      const Solution orig = orig_solver->solve(
+          SolveRequest{orig_instance, deltas, &orig_session});
+      const Solution agg = agg_solver->solve(
+          SolveRequest{agg_instance, agg_deltas, &agg_session});
       expect_equivalent(orig, agg, aggregation,
                         algo + " threads=" + std::to_string(solver_threads) +
                             " tree=" + std::to_string(index) + " step=" +

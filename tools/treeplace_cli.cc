@@ -18,7 +18,7 @@
 // accepts scenario-delta records (serve/request_stream.h).
 //
 // Exit codes: 0 success; 1 infeasible instance or unmet --budget; 2 usage
-// error (including unknown commands and unknown --algo names).
+// error (including unknown commands, flags and --algo names).
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -27,6 +27,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -94,10 +95,6 @@ constexpr int kExitUsage = 2;
       "               --cache C          resident topologies (default 16)\n"
       "               --session-bytes B  warm-state byte budget per resident\n"
       "                                  topology (0 = unbounded)\n"
-      "               --contract         frozen-subtree contraction: warm\n"
-      "                                  delta solves run on a tree the size\n"
-      "                                  of the dirty region (bit-identical;\n"
-      "                                  ignored with --session-bytes)\n"
       "               --solver-threads K solver-internal threads\n"
       "               (instance flags as for solve)\n"
       "               network mode (instead of stdin/stdout):\n"
@@ -131,6 +128,21 @@ constexpr int kExitUsage = 2;
   std::exit(kExitUsage);
 }
 
+/// Value-less flags.  "exact" stays one so the legacy `solve-power --exact`
+/// invocation reaches the migration hint instead of dying in parsing.
+const std::set<std::string> kSwitches = {"list-algos", "exact", "aggregate"};
+
+/// Flags that take a value, across all commands.  Anything else is a usage
+/// error: a silently dropped flag would also swallow the next argument as
+/// its value.
+const std::set<std::string> kValueFlags = {
+    "algo", "alpha", "amplitude", "budget", "cache", "capacity", "changed",
+    "changed-same", "client-prob", "create", "delete", "flash-prob",
+    "idle-timeout", "index", "internal", "keepalive", "listen", "max-conns",
+    "modes", "nodes", "persist", "pre", "queue", "requests", "seed", "servers",
+    "session-bytes", "shape", "shards", "skew", "solver-threads", "static",
+    "threads", "tick-seconds", "ticks", "touch", "users"};
+
 class Args {
  public:
   Args(int argc, char** argv) {
@@ -138,14 +150,13 @@ class Args {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) usage("unexpected argument '" + key + "'");
       key = key.substr(2);
-      // "exact" stays a value-less flag so the legacy `solve-power --exact`
-      // invocation reaches the migration hint instead of dying in parsing.
-      if (key == "list-algos" || key == "exact" || key == "aggregate" ||
-          key == "contract") {
+      if (kSwitches.count(key) > 0) {
         values_[key] = "1";
-      } else {
+      } else if (kValueFlags.count(key) > 0) {
         if (i + 1 >= argc) usage("missing value for --" + key);
         values_[key] = argv[++i];
+      } else {
+        usage("unknown flag --" + key);
       }
     }
   }
@@ -588,11 +599,6 @@ int cmd_serve(const Args& args) {
       static_cast<int>(get_count(args, "solver-threads", 1, 1));
   config.cache_capacity = get_count(args, "cache", 16, 1);
   config.session_max_bytes = get_count(args, "session-bytes", 0, 0);
-  config.session_contract = args.has("contract");
-  if (config.session_contract && config.session_max_bytes != 0) {
-    usage("--contract is incompatible with --session-bytes (budget shedding "
-          "could evict the tables sealed leaves splice in)");
-  }
   config.modes = params.modes;
   config.costs = params.costs;
   config.cost_budget = params.budget;
