@@ -315,6 +315,11 @@ int main(int argc, char** argv) {
             DeltaSize{"near_tie_N" + std::to_string(n), 2});
   }
 
+  // The exact-key engine's warm path: the same two-mode tree shape, small
+  // enough for the full (n_w, e_{o,w}) count vector, pinning its counters
+  // next to the reduced-key rows above.
+  run_row(Config{"power-exact", 16, false}, DeltaSize{"delta_1", 1});
+
   bench::emit(table, "warm_start", total.seconds());
   const std::string json_path = bench::out_path("BENCH_warm_start.json");
   gate.save_json(json_path);
