@@ -34,7 +34,8 @@ int main() {
           Xoshiro256 rng = make_rng(77, t, RngStream::kPreExisting);
           assign_random_pre_existing(tree, static_cast<std::size_t>(e), rng);
           const MinCostResult r =
-              solve_min_cost_with_pre(tree, MinCostConfig{10, 0.1, 0.01});
+              solve_min_cost_with_pre(tree, MinCostConfig{
+                  .capacity = 10, .create = 0.1, .delete_cost = 0.01});
           TREEPLACE_CHECK(r.feasible);
           bounded += static_cast<double>(r.merge_iterations);
         }

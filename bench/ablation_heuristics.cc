@@ -9,7 +9,7 @@
 #include "core/greedy.h"
 #include "core/greedy_power.h"
 #include "core/heuristics.h"
-#include "core/power_dp_symmetric.h"
+#include "core/power_dp.h"
 #include "gen/preexisting.h"
 #include "gen/tree_gen.h"
 #include "support/stats.h"
@@ -38,7 +38,8 @@ int main() {
 
       Stopwatch dp_watch;
       const MinCostResult dp =
-          solve_min_cost_with_pre(tree, MinCostConfig{10, 0.1, 0.01});
+          solve_min_cost_with_pre(tree, MinCostConfig{
+              .capacity = 10, .create = 0.1, .delete_cost = 0.01});
       dp_time.add(dp_watch.seconds());
       TREEPLACE_CHECK(dp.feasible);
 

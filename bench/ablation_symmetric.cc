@@ -5,7 +5,6 @@
 
 #include "bench/bench_util.h"
 #include "core/power_dp.h"
-#include "core/power_dp_symmetric.h"
 #include "gen/preexisting.h"
 #include "gen/tree_gen.h"
 

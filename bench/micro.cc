@@ -5,7 +5,6 @@
 #include "core/dp_update.h"
 #include "core/greedy.h"
 #include "core/power_dp.h"
-#include "core/power_dp_symmetric.h"
 #include "gen/preexisting.h"
 #include "gen/tree_gen.h"
 #include "model/placement.h"
@@ -62,7 +61,8 @@ BENCHMARK(BM_Greedy)->Arg(100)->Arg(1000)->Arg(10000)->Complexity();
 void BM_CostDp(benchmark::State& state) {
   const Tree tree = bench_tree(static_cast<int>(state.range(0)),
                                static_cast<std::size_t>(state.range(1)), 1);
-  const MinCostConfig config{10, 0.1, 0.01};
+  const MinCostConfig config{
+      .capacity = 10, .create = 0.1, .delete_cost = 0.01};
   for (auto _ : state) {
     benchmark::DoNotOptimize(solve_min_cost_with_pre(tree, config));
   }

@@ -7,7 +7,6 @@
 #include "bench/bench_util.h"
 #include "core/dp_update.h"
 #include "core/power_dp.h"
-#include "core/power_dp_symmetric.h"
 #include "gen/preexisting.h"
 #include "gen/tree_gen.h"
 
@@ -46,7 +45,8 @@ int main() {
     Tree tree = make_tree(n, static_cast<std::size_t>(n / 4), 1, 51, 6);
     Stopwatch watch;
     const MinCostResult r =
-        solve_min_cost_with_pre(tree, MinCostConfig{10, 0.1, 0.01});
+        solve_min_cost_with_pre(tree, MinCostConfig{
+            .capacity = 10, .create = 0.1, .delete_cost = 0.01});
     TREEPLACE_CHECK(r.feasible);
     table.add_row({std::string("cost DP"), static_cast<std::int64_t>(n),
                    static_cast<std::int64_t>(n / 4), std::int64_t{1},

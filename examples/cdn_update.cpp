@@ -61,7 +61,8 @@ void report(const Tree& tree, const Placement& placement,
 int main() {
   std::cout << "CDN replica update — MinCost-WithPre in action\n\n";
   constexpr RequestCount kCapacity = 20;  // streams per replica server
-  const MinCostConfig config{kCapacity, /*create=*/0.4, /*delete_cost=*/0.15};
+  const MinCostConfig config{
+      .capacity = kCapacity, .create = 0.4, .delete_cost = 0.15};
 
   // Evening demand profile; yesterday's placement was computed for it.
   Network net = build_network({12, 6, 3, 2, 9, 8, 2, 1, 5, 4, 4, 3});

@@ -24,8 +24,8 @@ namespace {
 constexpr RequestCount kPlanCapacity = 8;
 constexpr RequestCount kServeCapacity = 10;
 constexpr std::size_t kHours = 24;
-const MinCostConfig kDpConfig{kPlanCapacity, /*create=*/0.4,
-                              /*delete_cost=*/0.15};
+const MinCostConfig kDpConfig{
+    .capacity = kPlanCapacity, .create = 0.4, .delete_cost = 0.15};
 const CostModel kCosts = CostModel::simple(0.4, 0.15);
 
 /// Hourly demand drift: smooth perturbation instead of full re-draws.

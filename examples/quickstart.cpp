@@ -54,8 +54,8 @@ void describe(const Tree& tree, const Placement& placement,
 
 int main() {
   std::cout << "treeplace quickstart — paper Figure 1\n\n";
-  const MinCostConfig config{/*capacity=*/10, /*create=*/0.1,
-                             /*delete_cost=*/0.01};
+  const MinCostConfig config{
+      .capacity = 10, .create = 0.1, .delete_cost = 0.01};
 
   for (RequestCount root_requests : {RequestCount{2}, RequestCount{4}}) {
     Fig1Tree instance = make_fig1_tree(root_requests);

@@ -41,7 +41,7 @@ struct MinCostConfig {
   /// Optional edit span for cached solves (fast-path contract in
   /// core/dp_cache.h): a complete span lets planning skip the O(N)
   /// signature sweep.  Empty = unknown = full sweep.
-  std::span<const ScenarioDelta> deltas;
+  std::span<const ScenarioDelta> deltas = {};
 };
 
 struct MinCostResult {

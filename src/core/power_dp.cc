@@ -31,25 +31,22 @@ enum class SlotDiff : std::uint8_t { kClean, kChanged, kUnknown };
 
 using dp::RootCandidate;
 
-class ExactPowerSolver {
+// --- Count-vector keys -----------------------------------------------------
+//
+// A key fixes what PowerEngine's table dimensions count.  It supplies the
+// table width, the dimensions a replica increments, a node's own-option
+// bounds, and the root's pricing; the engine does the rest.
+
+/// The exact key (n_1..n_M, e_{1,1}..e_{M,M}): new servers per mode and
+/// reused pre-existing servers per (original mode, new mode) pair.
+class ExactKey {
  public:
-  ExactPowerSolver(const Topology& topo, const Scenario& scen,
-                   const ModeSet& modes, const CostModel& costs,
-                   const PowerDPOptions& options)
-      : topo_(topo),
-        scen_(scen),
+  ExactKey(const Scenario& scen, const ModeSet& modes, const CostModel& costs)
+      : scen_(scen),
         modes_(modes),
         costs_(costs),
         m_(modes.count()),
-        dims_(static_cast<std::size_t>(m_) +
-              static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_)),
-        external_pool_(options.pool),
-        lazy_pool_(options.pool ? 1 : options.threads),
-        cache_(options.cache),
-        arena_(options.cache ? &options.cache->arena() : &own_arena_),
-        deltas_(options.deltas),
-        local_states_(options.cache ? 0 : topo.num_internal()) {
-    pre_total_per_mode_.assign(static_cast<std::size_t>(m_), 0);
+        pre_total_per_mode_(static_cast<std::size_t>(m_), 0) {
     for (NodeId e : scen_.pre_existing_nodes()) {
       const int o = scen_.original_mode(e);
       TREEPLACE_CHECK_MSG(o >= 0 && o < m_,
@@ -59,6 +56,274 @@ class ExactPowerSolver {
       ++pre_total_per_mode_[static_cast<std::size_t>(o)];
     }
   }
+
+  std::size_t dims() const {
+    return static_cast<std::size_t>(m_) +
+           static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_);
+  }
+
+  /// Visits the dimension that a replica on `node` at mode `w` increments.
+  template <typename Visit>
+  void replica_dims(NodeId node, int w, Visit&& visit) const {
+    visit(scen_.pre_existing(node) ? dim_reused(scen_.original_mode(node), w)
+                                   : dim_new(w));
+  }
+
+  /// Node j's own placement possibilities: one unit in any of its
+  /// admissible dimensions.
+  void add_own_options(NodeId j, std::vector<int>& bounds) const {
+    for (int w = 0; w < m_; ++w) {
+      replica_dims(j, w, [&](std::size_t d) { bounds[d] += 1; });
+    }
+  }
+
+  /// Partial cost and power per count-vector digit, and the cost
+  /// tolerance; make_candidate adds the deletion constant and the
+  /// operating cost the same way.  Its summation order depends on every
+  /// count, so each dimension is its own cost group.
+  void price_root(double units, dp::RootPricing& pricing) const {
+    const std::size_t dims = this->dims();
+    pricing.cost_group.resize(dims);
+    pricing.group_cost.assign(dims, 0.0);
+    pricing.power_coef.assign(dims, 0.0);
+    double max_cost_term = 1.0;
+    for (std::size_t d = 0; d < dims; ++d) {
+      pricing.cost_group[d] = static_cast<std::uint32_t>(d);
+    }
+    for (int w = 0; w < m_; ++w) {
+      pricing.group_cost[dim_new(w)] = costs_.create(w) + 1.0;
+      pricing.power_coef[dim_new(w)] = modes_.power(w);
+      max_cost_term = std::max(max_cost_term, std::fabs(costs_.create(w)));
+      for (int o = 0; o < m_; ++o) {
+        pricing.group_cost[dim_reused(o, w)] =
+            costs_.changed(o, w) + 1.0 - costs_.del(o);
+        pricing.power_coef[dim_reused(o, w)] = modes_.power(w);
+        max_cost_term =
+            std::max({max_cost_term, std::fabs(costs_.changed(o, w)),
+                      std::fabs(costs_.del(o))});
+      }
+    }
+    double pre_total = 0.0;
+    for (const int n : pre_total_per_mode_) pre_total += n;
+    pricing.cost_tol =
+        dp::near_tie_tolerance((units + pre_total) * 3.0 * max_cost_term);
+  }
+
+  /// Prices one root count vector: the candidate's cost, power and
+  /// server count (flow and operand cells are filled by the pairing).
+  RootCandidate make_candidate(const std::vector<int>& counts,
+                               std::size_t flat, std::int8_t root_mode) const {
+    int servers = 0;
+    double cost = 0.0;
+    double power = 0.0;
+    for (int w = 0; w < m_; ++w) {
+      const int n_w = counts[dim_new(w)];
+      servers += n_w;
+      cost += static_cast<double>(n_w) * costs_.create(w);
+      power += static_cast<double>(n_w) * modes_.power(w);
+    }
+    std::vector<int> reused_per_mode(static_cast<std::size_t>(m_), 0);
+    for (int o = 0; o < m_; ++o) {
+      for (int w = 0; w < m_; ++w) {
+        const int e_ow = counts[dim_reused(o, w)];
+        servers += e_ow;
+        reused_per_mode[static_cast<std::size_t>(o)] += e_ow;
+        cost += static_cast<double>(e_ow) * costs_.changed(o, w);
+        power += static_cast<double>(e_ow) * modes_.power(w);
+      }
+    }
+    cost += static_cast<double>(servers);  // operating cost of 1 per server
+    for (int o = 0; o < m_; ++o) {
+      const int deleted = pre_total_per_mode_[static_cast<std::size_t>(o)] -
+                          reused_per_mode[static_cast<std::size_t>(o)];
+      TREEPLACE_DCHECK(deleted >= 0);
+      cost += static_cast<double>(deleted) * costs_.del(o);
+    }
+    return RootCandidate{cost, power, static_cast<std::uint32_t>(flat),
+                         root_mode, servers};
+  }
+
+ private:
+  std::size_t dim_new(int w) const { return static_cast<std::size_t>(w); }
+  std::size_t dim_reused(int o, int w) const {
+    return static_cast<std::size_t>(m_) +
+           static_cast<std::size_t>(o) * static_cast<std::size_t>(m_) +
+           static_cast<std::size_t>(w);
+  }
+
+  const Scenario& scen_;
+  const ModeSet& modes_;
+  const CostModel& costs_;
+  const int m_;
+  std::vector<int> pre_total_per_mode_;
+};
+
+/// The reduced key (m_1..m_M, e_same, e_changed) of symmetric cost models:
+/// servers per mode, and reused servers that kept or changed their mode.
+class SymmetricKey {
+ public:
+  SymmetricKey(const Scenario& scen, const ModeSet& modes,
+               const CostModel& costs)
+      : scen_(scen),
+        modes_(modes),
+        m_(modes.count()),
+        create_(costs.symmetric_create()),
+        delete_(costs.symmetric_delete()),
+        changed_same_(costs.symmetric_changed_same()),
+        changed_diff_(costs.symmetric_changed_diff()) {}
+
+  std::size_t dims() const { return static_cast<std::size_t>(m_) + 2; }
+
+  /// Visits the dimensions that a replica on `node` at mode `w`
+  /// increments: its mode, plus its same/changed reuse dimension.
+  template <typename Visit>
+  void replica_dims(NodeId node, int w, Visit&& visit) const {
+    visit(dim_mode(w));
+    if (scen_.pre_existing(node)) {
+      visit(w == scen_.original_mode(node) ? dim_same() : dim_changed());
+    }
+  }
+
+  /// Node j's own placement possibilities; a pre-existing node bounds both
+  /// reuse dimensions by one whatever its original mode.
+  void add_own_options(NodeId j, std::vector<int>& bounds) const {
+    for (int w = 0; w < m_; ++w) bounds[dim_mode(w)] += 1;
+    if (scen_.pre_existing(j)) {
+      bounds[dim_same()] += 1;
+      bounds[dim_changed()] += 1;
+    }
+  }
+
+  /// Partial cost and power per digit, as make_candidate prices them, and
+  /// the cost tolerance: a server costs 1 + create unless reused, a reuse
+  /// swaps the create and the deletion it avoids for its changed_same/diff
+  /// price.  The candidate cost depends only on (servers, e_same,
+  /// e_changed), so the per-mode server dimensions share one cost group.
+  void price_root(double units, dp::RootPricing& pricing) const {
+    pricing.cost_group.assign(dims(), 0);
+    pricing.cost_group[dim_same()] = 1;
+    pricing.cost_group[dim_changed()] = 2;
+    pricing.group_cost = {1.0 + create_, changed_same_ - create_ - delete_,
+                          changed_diff_ - create_ - delete_};
+    pricing.power_coef.assign(dims(), 0.0);
+    for (int w = 0; w < m_; ++w) {
+      pricing.power_coef[dim_mode(w)] = modes_.power(w);
+    }
+    const double e_total = static_cast<double>(scen_.num_pre_existing());
+    pricing.cost_tol = dp::near_tie_tolerance(
+        (units + e_total) *
+        (1.0 + std::fabs(create_) + std::fabs(changed_same_) +
+         std::fabs(changed_diff_) + std::fabs(delete_)));
+  }
+
+  RootCandidate make_candidate(const std::vector<int>& counts,
+                               std::size_t flat, std::int8_t root_mode) const {
+    int servers = 0;
+    double power = 0.0;
+    for (int w = 0; w < m_; ++w) {
+      servers += counts[dim_mode(w)];
+      power += static_cast<double>(counts[dim_mode(w)]) * modes_.power(w);
+    }
+    const int e_same = counts[dim_same()];
+    const int e_changed = counts[dim_changed()];
+    const int reused = e_same + e_changed;
+    const int created = servers - reused;
+    TREEPLACE_DCHECK(created >= 0);
+    const int e_total = static_cast<int>(scen_.num_pre_existing());
+    const double cost = static_cast<double>(servers) +
+                        static_cast<double>(created) * create_ +
+                        static_cast<double>(e_same) * changed_same_ +
+                        static_cast<double>(e_changed) * changed_diff_ +
+                        static_cast<double>(e_total - reused) * delete_;
+    return RootCandidate{cost, power, static_cast<std::uint32_t>(flat),
+                         root_mode, servers};
+  }
+
+ private:
+  std::size_t dim_mode(int w) const { return static_cast<std::size_t>(w); }
+  std::size_t dim_same() const { return static_cast<std::size_t>(m_); }
+  std::size_t dim_changed() const { return static_cast<std::size_t>(m_) + 1; }
+
+  const Scenario& scen_;
+  const ModeSet& modes_;
+  const int m_;
+  const double create_;
+  const double delete_;
+  const double changed_same_;
+  const double changed_diff_;
+};
+
+// --- The decision walk -----------------------------------------------------
+
+template <typename StateOf>
+void walk_subtree(const Topology& topo, dp::MergePlanCache& plans,
+                  const StateOf& state_of, NodeId j, std::size_t flat,
+                  Placement& placement);
+
+/// Emits the placement below merge-plan slot `slot` of a node with state
+/// `s`, reading every descendant's state through `state_of(internal
+/// index)`.
+template <typename StateOf>
+void walk_slot(const Topology& topo, dp::MergePlanCache& plans,
+               const StateOf& state_of, const NodeState& s,
+               std::span<const NodeId> children, const dp::MergePlan& mplan,
+               std::uint32_t slot, std::size_t flat, Placement& placement) {
+  const Decision d = s.slot_decisions[slot][flat];
+  if (slot < mplan.num_leaves()) {
+    const NodeId c = children[slot];
+    if (d.mode >= 0) placement.add(c, d.mode);
+    walk_subtree(topo, plans, state_of, c, d.right, placement);
+    return;
+  }
+  const dp::MergePlan::Step& step = mplan.steps()[slot - mplan.num_leaves()];
+  walk_slot(topo, plans, state_of, s, children, mplan, step.left, d.left,
+            placement);
+  walk_slot(topo, plans, state_of, s, children, mplan, step.right, d.right,
+            placement);
+}
+
+/// Emits the placement of the subtree rooted at `j` for flat index `flat`
+/// into its folded table.
+template <typename StateOf>
+void walk_subtree(const Topology& topo, dp::MergePlanCache& plans,
+                  const StateOf& state_of, NodeId j, std::size_t flat,
+                  Placement& placement) {
+  const NodeState& s = state_of(topo.internal_index(j));
+  const auto children = topo.internal_children(j);
+  if (children.empty()) {
+    TREEPLACE_DCHECK(flat == 0);
+    return;
+  }
+  const dp::MergePlan& mplan = plans.get(children.size());
+  walk_slot(topo, plans, state_of, s, children, mplan, mplan.root_slot(), flat,
+            placement);
+}
+
+// --- The engine ------------------------------------------------------------
+
+/// The MinPower-BoundedCost DP over one count-vector key (ExactKey or
+/// SymmetricKey): per node, child tables are expanded by the child's own
+/// options and joined along a balanced merge plan; the root pairs its last
+/// step's operands directly (core/pareto_root.h).
+template <typename Key>
+class PowerEngine {
+ public:
+  PowerEngine(const Topology& topo, const Scenario& scen,
+              const ModeSet& modes, const CostModel& costs,
+              const PowerDPOptions& options)
+      : key_(scen, modes, costs),
+        topo_(topo),
+        scen_(scen),
+        modes_(modes),
+        costs_(costs),
+        m_(modes.count()),
+        dims_(key_.dims()),
+        external_pool_(options.pool),
+        lazy_pool_(options.pool ? 1 : options.threads),
+        cache_(options.cache),
+        arena_(options.cache ? &options.cache->arena() : &own_arena_),
+        deltas_(options.deltas),
+        local_states_(options.cache ? 0 : topo.num_internal()) {}
 
   PowerDPResult solve() {
     Stopwatch watch;
@@ -103,6 +368,13 @@ class ExactPowerSolver {
     return cache_ != nullptr ? cache_->state(i) : local_states_[i];
   }
 
+  /// Node i's state with its tables readable: a clean node spliced from a
+  /// packed cache entry is unpacked first.
+  NodeState& unpacked_state(std::size_t i) const {
+    if (cache_ != nullptr) cache_->ensure_unpacked(i);
+    return node_state(i);
+  }
+
   dp::NodeSignature signature(NodeId j) const {
     return dp::NodeSignature{
         scen_.client_mass(j),
@@ -129,19 +401,6 @@ class ExactPowerSolver {
     result.stats.phases = phases_;
   }
 
-  std::size_t dim_new(int w) const { return static_cast<std::size_t>(w); }
-  std::size_t dim_reused(int o, int w) const {
-    return static_cast<std::size_t>(m_) +
-           static_cast<std::size_t>(o) * static_cast<std::size_t>(m_) +
-           static_cast<std::size_t>(w);
-  }
-  /// Dimension that a replica on `node` at mode `w` increments.
-  std::size_t dim_of(NodeId node, int w) const {
-    return scen_.pre_existing(node)
-               ? dim_reused(scen_.original_mode(node), w)
-               : dim_new(w);
-  }
-
   /// (Re)builds node j's table along the merge plan.  With a resumable
   /// cache entry (plan.resume), only dirty children's leaf slots, the
   /// internal slots on their root paths and — when the node's client mass
@@ -150,8 +409,7 @@ class ExactPowerSolver {
   /// operand's value diff is small run lazily (core/merge_kernel.h).
   bool process_node(NodeId j, const dp::DirtyPlan& plan) {
     const std::size_t i = topo_.internal_index(j);
-    if (cache_ != nullptr) cache_->ensure_unpacked(i);
-    NodeState& s = node_state(i);
+    NodeState& s = unpacked_state(i);
     const RequestCount base = scen_.client_mass(j);
     if (base > modes_.max_capacity()) return false;
     const auto children = topo_.internal_children(j);
@@ -208,9 +466,9 @@ class ExactPowerSolver {
     }
 
     // Bounds seen by the parent: ours plus this node's own placement
-    // possibilities (one unit in any of its admissible dimensions).
+    // possibilities.
     s.incl_bounds = s.box.bounds();
-    for (int w = 0; w < m_; ++w) s.incl_bounds[dim_of(j, w)] += 1;
+    key_.add_own_options(j, s.incl_bounds);
 
     if (cache_ == nullptr) {
       // One-shot solve: the slot snapshots are never resumed — drop them,
@@ -257,12 +515,10 @@ class ExactPowerSolver {
   /// Fills leaf slot `slot` with child c's table extended by the child's
   /// own placement options: every child state appears unchanged (no
   /// replica on c, its flow still open) and once per admissible mode w
-  /// (replica on c at w absorbs the child's flow).
+  /// (replica on c at w absorbs the child's flow, one unit in each of the
+  /// key's dimensions for it).
   void expand_leaf(NodeState& s, std::size_t slot, NodeId c, bool try_diff) {
-    // A clean child spliced from a packed cache entry must expose its
-    // final table again before this leaf re-expands it.
-    if (cache_ != nullptr) cache_->ensure_unpacked(topo_.internal_index(c));
-    NodeState& cs = node_state(topo_.internal_index(c));
+    NodeState& cs = unpacked_state(topo_.internal_index(c));
     Box box{cs.incl_bounds};
     ArenaTable<RequestCount> flow;
     flow.assign(*arena_, box.size(), kInvalidFlow);
@@ -270,6 +526,12 @@ class ExactPowerSolver {
     dec.resize_uninit(*arena_, box.size());
     table_cells_ += box.size();
     ++merge_steps_;
+    replica_offset_.assign(static_cast<std::size_t>(m_), 0);
+    for (int w = 0; w < m_; ++w) {
+      key_.replica_dims(c, w, [&](std::size_t d) {
+        replica_offset_[static_cast<std::size_t>(w)] += box.stride(d);
+      });
+    }
     dp::compact_entries(cs.box, cs.flow.span(), box, scratch_.left);
     const dp::EntryList& entries = scratch_.left;
     for (std::size_t e = 0; e < entries.size(); ++e) {
@@ -281,7 +543,8 @@ class ExactPowerSolver {
         dec[t] = Decision{0, eflat, -1};
       }
       for (int w = modes_.mode_for_load(ef); w < m_; ++w) {
-        const std::size_t tw = t + box.stride(dim_of(c, w));
+        const std::size_t tw =
+            t + replica_offset_[static_cast<std::size_t>(w)];
         if (RequestCount{0} < flow[tw]) {
           flow[tw] = 0;
           dec[tw] = Decision{0, eflat, static_cast<std::int8_t>(w)};
@@ -392,48 +655,21 @@ class ExactPowerSolver {
   /// candidates.
   std::vector<RootCandidate> root_join() {
     const NodeId root = topo_.root();
-    const std::size_t ri = topo_.internal_index(root);
     // The root may be clean (and packed) on a fully-warm solve; its
     // operand slots are re-read every solve.
-    if (cache_ != nullptr) cache_->ensure_unpacked(ri);
-    const NodeState& s = node_state(ri);
+    const NodeState& s = unpacked_state(topo_.internal_index(root));
     const dp::RootOperands ops =
         dp::root_operands(plans_.get(topo_.internal_children(root).size()));
     const Box rbox = dp::root_box(s, ops, dims_);
 
-    // Partial cost and power per count-vector digit; make_candidate adds
-    // the deletion constant and the operating cost the same way.  Its
-    // summation order depends on every count, so each dimension is its
-    // own cost group.
     dp::RootPricing pricing;
-    pricing.cost_group.resize(dims_);
-    pricing.group_cost.assign(dims_, 0.0);
-    pricing.power_coef.assign(dims_, 0.0);
-    double max_cost_term = 1.0;
-    double max_power = 0.0;
-    for (std::size_t d = 0; d < dims_; ++d) {
-      pricing.cost_group[d] = static_cast<std::uint32_t>(d);
-    }
-    for (int w = 0; w < m_; ++w) {
-      pricing.group_cost[dim_new(w)] = costs_.create(w) + 1.0;
-      pricing.power_coef[dim_new(w)] = modes_.power(w);
-      max_cost_term = std::max(max_cost_term, std::fabs(costs_.create(w)));
-      max_power = std::max(max_power, std::fabs(modes_.power(w)));
-      for (int o = 0; o < m_; ++o) {
-        pricing.group_cost[dim_reused(o, w)] =
-            costs_.changed(o, w) + 1.0 - costs_.del(o);
-        pricing.power_coef[dim_reused(o, w)] = modes_.power(w);
-        max_cost_term =
-            std::max({max_cost_term, std::fabs(costs_.changed(o, w)),
-                      std::fabs(costs_.del(o))});
-      }
-    }
     double units = 1.0;  // bound on any candidate's summed counts
     for (const int b : rbox.bounds()) units += b;
-    double pre_total = 0.0;
-    for (const int n : pre_total_per_mode_) pre_total += n;
-    pricing.cost_tol =
-        dp::near_tie_tolerance((units + pre_total) * 3.0 * max_cost_term);
+    key_.price_root(units, pricing);
+    double max_power = 0.0;
+    for (int w = 0; w < m_; ++w) {
+      max_power = std::max(max_power, std::fabs(modes_.power(w)));
+    }
     pricing.power_tol = dp::near_tie_tolerance(units * max_power);
     dp::root_operand_cells(s, ops.left, rbox, pricing, root_left_,
                            root_scan_work_);
@@ -444,44 +680,10 @@ class ExactPowerSolver {
         root_left_, root_right_, rbox, scen_.client_mass(root), modes_,
         merge_pairs_,
         [&](std::vector<int>& counts, int w) {
-          counts[dim_of(root, w)] += 1;
+          key_.replica_dims(root, w, [&](std::size_t d) { counts[d] += 1; });
         },
         [this](const std::vector<int>& counts, std::size_t flat,
-               std::int8_t w) { return make_candidate(counts, flat, w); });
-  }
-
-  /// Prices one root count vector: the candidate's cost, power and
-  /// server count (flow and operand cells are filled by the pairing).
-  RootCandidate make_candidate(const std::vector<int>& counts,
-                               std::size_t flat, std::int8_t root_mode) const {
-    int servers = 0;
-    double cost = 0.0;
-    double power = 0.0;
-    for (int w = 0; w < m_; ++w) {
-      const int n_w = counts[dim_new(w)];
-      servers += n_w;
-      cost += static_cast<double>(n_w) * costs_.create(w);
-      power += static_cast<double>(n_w) * modes_.power(w);
-    }
-    std::vector<int> reused_per_mode(static_cast<std::size_t>(m_), 0);
-    for (int o = 0; o < m_; ++o) {
-      for (int w = 0; w < m_; ++w) {
-        const int e_ow = counts[dim_reused(o, w)];
-        servers += e_ow;
-        reused_per_mode[static_cast<std::size_t>(o)] += e_ow;
-        cost += static_cast<double>(e_ow) * costs_.changed(o, w);
-        power += static_cast<double>(e_ow) * modes_.power(w);
-      }
-    }
-    cost += static_cast<double>(servers);  // operating cost of 1 per server
-    for (int o = 0; o < m_; ++o) {
-      const int deleted = pre_total_per_mode_[static_cast<std::size_t>(o)] -
-                          reused_per_mode[static_cast<std::size_t>(o)];
-      TREEPLACE_DCHECK(deleted >= 0);
-      cost += static_cast<double>(deleted) * costs_.del(o);
-    }
-    return RootCandidate{cost, power, static_cast<std::uint32_t>(flat),
-                         root_mode, servers};
+               std::int8_t w) { return key_.make_candidate(counts, flat, w); });
   }
 
   /// Places the root's own server, then walks a root-join candidate's
@@ -491,53 +693,29 @@ class ExactPowerSolver {
     if (c.root_mode >= 0) placement.add(root, c.root_mode);
     const auto children = topo_.internal_children(root);
     if (children.empty()) return;
-    if (cache_ != nullptr) cache_->ensure_unpacked(topo_.internal_index(root));
-    const NodeState& s = node_state(topo_.internal_index(root));
+    const NodeState& s = unpacked_state(topo_.internal_index(root));
     const dp::MergePlan& mplan = plans_.get(children.size());
+    // Clean nodes skipped by the warm solve may still be packed; the walk
+    // reads their decisions.
+    const auto state_of = [this](std::size_t i) -> const NodeState& {
+      return unpacked_state(i);
+    };
     dp::walk_root_operands(mplan, c, [&](std::uint32_t slot, std::size_t flat) {
-      reconstruct_slot(s, children, mplan, slot, flat, placement);
+      walk_slot(topo_, plans_, state_of, s, children, mplan, slot, flat,
+                placement);
     });
   }
 
-  void reconstruct(NodeId j, std::size_t flat, Placement& placement) const {
-    // Clean nodes skipped by the warm solve may still be packed; the walk
-    // reads their decisions.
-    if (cache_ != nullptr) cache_->ensure_unpacked(topo_.internal_index(j));
-    const NodeState& s = node_state(topo_.internal_index(j));
-    const auto children = topo_.internal_children(j);
-    if (children.empty()) {
-      TREEPLACE_DCHECK(flat == 0);
-      return;
-    }
-    const dp::MergePlan& mplan = plans_.get(children.size());
-    reconstruct_slot(s, children, mplan, mplan.root_slot(), flat, placement);
-  }
-
-  void reconstruct_slot(const NodeState& s, std::span<const NodeId> children,
-                        const dp::MergePlan& mplan, std::uint32_t slot,
-                        std::size_t flat, Placement& placement) const {
-    const Decision d = s.slot_decisions[slot][flat];
-    if (slot < mplan.num_leaves()) {
-      const NodeId c = children[slot];
-      if (d.mode >= 0) placement.add(c, d.mode);
-      reconstruct(c, d.right, placement);
-      return;
-    }
-    const dp::MergePlan::Step& step =
-        mplan.steps()[slot - mplan.num_leaves()];
-    reconstruct_slot(s, children, mplan, step.left, d.left, placement);
-    reconstruct_slot(s, children, mplan, step.right, d.right, placement);
-  }
-
-  const Topology& topo_;
-  const Scenario& scen_;
-  const ModeSet& modes_;
-  const CostModel& costs_;
   /// The configured long-lived pool, else this solve's lazy workers.
   ThreadPool* merge_pool() {
     return external_pool_ != nullptr ? external_pool_ : lazy_pool_.get();
   }
 
+  const Key key_;
+  const Topology& topo_;
+  const Scenario& scen_;
+  const ModeSet& modes_;
+  const CostModel& costs_;
   const int m_;
   const std::size_t dims_;
   ThreadPool* const external_pool_;
@@ -551,8 +729,9 @@ class ExactPowerSolver {
   const std::span<const ScenarioDelta> deltas_;
   mutable std::vector<NodeState> local_states_;
   mutable dp::MergePlanCache plans_;
-  std::vector<int> pre_total_per_mode_;
   dp::JoinScratch scratch_;
+  /// Per-mode flat offset of a replica on the child being expanded.
+  std::vector<std::size_t> replica_offset_;
   std::vector<dp::RootCell> root_left_;  ///< root-join operand scratch
   std::vector<dp::RootCell> root_right_;
   dp::RollingDiffBudget diff_budget_;
@@ -577,50 +756,32 @@ PowerDPResult solve_power_exact(const Topology& topo, const Scenario& scen,
                                 const PowerDPOptions& options) {
   TREEPLACE_CHECK_MSG(costs.num_modes() == modes.count(),
                       "cost model and mode set disagree on M");
-  ExactPowerSolver solver(topo, scen, modes, costs, options);
-  return solver.solve();
+  PowerEngine<ExactKey> engine(topo, scen, modes, costs, options);
+  return engine.solve();
 }
 
-namespace {
-
-void reconstruct_power_slot(const Topology& topo,
-                            dp::PowerSubtreeCache& cache,
-                            dp::MergePlanCache& plans,
-                            const dp::PowerNodeState& s,
-                            std::span<const NodeId> children,
-                            const dp::MergePlan& mplan, std::uint32_t slot,
-                            std::size_t flat, Placement& placement) {
-  const Decision d = s.slot_decisions[slot][flat];
-  if (slot < mplan.num_leaves()) {
-    const NodeId c = children[slot];
-    if (d.mode >= 0) placement.add(c, d.mode);
-    reconstruct_power_subtree(topo, cache, plans, c, d.right, placement);
-    return;
-  }
-  const dp::MergePlan::Step& step = mplan.steps()[slot - mplan.num_leaves()];
-  reconstruct_power_slot(topo, cache, plans, s, children, mplan, step.left,
-                         d.left, placement);
-  reconstruct_power_slot(topo, cache, plans, s, children, mplan, step.right,
-                         d.right, placement);
+PowerDPResult solve_power_symmetric(const Topology& topo,
+                                    const Scenario& scen,
+                                    const ModeSet& modes,
+                                    const CostModel& costs,
+                                    const PowerDPOptions& options) {
+  TREEPLACE_CHECK_MSG(costs.num_modes() == modes.count(),
+                      "cost model and mode set disagree on M");
+  TREEPLACE_CHECK_MSG(costs.is_symmetric(),
+                      "solve_power_symmetric requires a symmetric cost model");
+  PowerEngine<SymmetricKey> engine(topo, scen, modes, costs, options);
+  return engine.solve();
 }
-
-}  // namespace
 
 void reconstruct_power_subtree(const Topology& topo,
                                dp::PowerSubtreeCache& cache,
                                dp::MergePlanCache& plans, NodeId j,
                                std::size_t flat, Placement& placement) {
-  const std::size_t i = topo.internal_index(j);
-  cache.ensure_unpacked(i);
-  const dp::PowerNodeState& s = cache.state(i);
-  const auto children = topo.internal_children(j);
-  if (children.empty()) {
-    TREEPLACE_DCHECK(flat == 0);
-    return;
-  }
-  const dp::MergePlan& mplan = plans.get(children.size());
-  reconstruct_power_slot(topo, cache, plans, s, children, mplan,
-                         mplan.root_slot(), flat, placement);
+  const auto state_of = [&cache](std::size_t i) -> const NodeState& {
+    cache.ensure_unpacked(i);
+    return cache.state(i);
+  };
+  walk_subtree(topo, plans, state_of, j, flat, placement);
 }
 
 }  // namespace treeplace

@@ -1,24 +1,35 @@
-// Exact DP for MinPower-BoundedCost (paper Section 4.3, Theorem 3).
+// DP for MinPower-BoundedCost (paper Section 4.3, Theorem 3).
 //
-// State per subtree: the exact count vector
+// State per subtree: a count vector of servers, with the minimal flow
+// leaving the subtree per state (the generalization of Lemma 1: cost and
+// power depend only on the counts, and a smaller residual flow never hurts
+// upward feasibility).  One engine runs the DP over either of two keys.
+//
+// The exact key, solve_power_exact(), is
 //   (n_1..n_M, e_{1,1}..e_{M,M})
-// of new servers per mode and reused pre-existing servers per
-// (original mode, new mode) pair, with the minimal flow leaving the subtree
-// per state (the generalization of Lemma 1: cost and power depend only on
-// the counts, and a smaller residual flow never hurts upward feasibility).
+// new servers per mode and reused pre-existing servers per (original mode,
+// new mode) pair.  The table dimensionality is M + M², exponential in the
+// number of modes — the paper's O(N^{2M²+2M+1}) bound — but every
+// dimension is bounded by the actual node counts of the partial subtree,
+// which keeps moderate instances (M = 2, N ≤ 50) tractable; this is what
+// the paper means by "practical usefulness limited to small values of M".
+// The NoPre variant is the same algorithm with all e-dimensions collapsed
+// to zero, recovering the O(N^{2M+1}) bound.
 //
-// The table dimensionality is M + M², exponential in the number of modes —
-// the paper's O(N^{2M²+2M+1}) bound — but every dimension is bounded by the
-// actual node counts of the partial subtree, which keeps moderate instances
-// (M = 2, N ≤ 50) tractable; this is what the paper means by "practical
-// usefulness limited to small values of M".  The NoPre variant is the same
-// algorithm with all e-dimensions collapsed to zero, recovering the
-// O(N^{2M+1}) bound.
-//
-// For the mode-independent cost structure used in all of the paper's
-// experiments, prefer solve_power_symmetric() (core/power_dp_symmetric.h),
-// which is orders of magnitude faster and validated to produce an identical
-// frontier.
+// The reduced key, solve_power_symmetric(), serves symmetric costs: when
+// create_i and delete_i do not depend on the mode and changed_{o,i}
+// depends only on whether o == i — the structure of every experiment in
+// the paper's Section 5.2 — the exact state collapses to
+//   (m_1..m_M, e_same, e_changed)
+// where m_w counts all servers configured at mode w, e_same the reused
+// servers that kept their original mode and e_changed those that moved.
+// Cost and power are functions of this reduced vector, so keeping the
+// minimal residual flow per reduced state preserves optimality (same
+// exchange argument as Lemma 1).  The state space shrinks from
+// O(N^M · E^{M²}) to O(N^M · E²), which is what makes the paper-scale
+// Figure 8-11 sweeps affordable.  Equality of the produced frontier with
+// solve_power_exact() is enforced by randomized property tests and by
+// bench/ablation_symmetric.
 #pragma once
 
 #include "core/dp_cache.h"
@@ -55,7 +66,7 @@ struct PowerDPOptions {
   /// core/dp_cache.h), planning checks only the touched nodes instead of
   /// sweeping all N signatures.  Empty always means "unknown" and selects
   /// the sweep.  The span must outlive the solve call.
-  std::span<const ScenarioDelta> deltas;
+  std::span<const ScenarioDelta> deltas = {};
 };
 
 /// Solves MinPower-BoundedCost-{No,With}Pre exactly over one scenario of a
@@ -72,10 +83,26 @@ inline PowerDPResult solve_power_exact(const Tree& tree, const ModeSet& modes,
                            options);
 }
 
+/// The same frontier over the reduced key.  Requires costs.is_symmetric();
+/// use solve_power_exact() otherwise.  `options.threads` shards the
+/// per-child merges (bit-identical results).
+PowerDPResult solve_power_symmetric(const Topology& topo,
+                                    const Scenario& scen,
+                                    const ModeSet& modes,
+                                    const CostModel& costs,
+                                    const PowerDPOptions& options = {});
+inline PowerDPResult solve_power_symmetric(const Tree& tree,
+                                           const ModeSet& modes,
+                                           const CostModel& costs,
+                                           const PowerDPOptions& options = {}) {
+  return solve_power_symmetric(tree.topology(), tree.scenario(), modes, costs,
+                               options);
+}
+
 /// Cache-only decision walk: emits the placement of the subtree rooted at
 /// `j` for the chosen flat index into its cached root table, reading the
 /// per-slot decisions the last completed solve left behind (packed entries
-/// are unpacked on the way).  Works for either power engine's cache.
+/// are unpacked on the way).  Works for either key's cache.
 void reconstruct_power_subtree(const Topology& topo,
                                dp::PowerSubtreeCache& cache,
                                dp::MergePlanCache& plans, NodeId j,

@@ -19,7 +19,6 @@
 #include "core/greedy_power.h"
 #include "core/heuristics.h"
 #include "core/power_dp.h"
-#include "core/power_dp_symmetric.h"
 #include "model/placement.h"
 #include "solver/registry.h"
 #include "solver/session.h"
@@ -184,7 +183,9 @@ class UpdateDpSolver : public Solver {
                             std::span<const ScenarioDelta> deltas,
                             SolveSession* session) const {
     Stopwatch timer;
-    MinCostConfig config{in.capacity(), in.costs.create(0), in.costs.del(0)};
+    MinCostConfig config{.capacity = in.capacity(),
+                         .create = in.costs.create(0),
+                         .delete_cost = in.costs.del(0)};
     // The DP plans against the single-mode Eq. 2 model and only reads the
     // pre-existing flags; on multi-mode instances, collapse the original
     // modes to 0 for its internal accounting (finish_placement re-prices
@@ -218,23 +219,17 @@ class UpdateDpSolver : public Solver {
 
 // --- Power DPs (Section 4) -------------------------------------------------
 
-class PowerExactSolver : public Solver {
+/// The power DP behind one entry point (solve_power_exact or a
+/// symmetric-cost-checked solve_power_symmetric).
+class PowerDPSolver : public Solver {
  public:
-  PowerExactSolver() : Solver(make_info()) {}
-  static SolverInfo make_info() {
-    SolverInfo info;
-    info.name = "power-exact";
-    info.summary =
-        "exact MinPower-BoundedCost DP (Theorem 3): full cost-power Pareto "
-        "frontier under the general Eq. 4 cost model";
-    info.objective = Objective::kMinPower;
-    info.exact = true;
-    info.needs_modes = true;
-    info.supports_pre_existing = true;
-    return info;
-  }
+  using Entry = PowerDPResult (*)(const Instance&, const PowerDPOptions&);
+
+  PowerDPSolver(SolverInfo info, Entry run)
+      : Solver(std::move(info)), run_(run) {}
+
   Solution solve(const Instance& in) const override {
-    PowerDPResult r = run_dp(in, dp_options());
+    PowerDPResult r = run_(in, dp_options());
     return finish(in, std::move(r));
   }
 
@@ -248,7 +243,7 @@ class PowerExactSolver : public Solver {
     PowerDPOptions opts = dp_options();
     opts.cache = &session.power_cache(name());
     opts.deltas = request.deltas;
-    PowerDPResult r = run_dp(in, opts);
+    PowerDPResult r = run_(in, opts);
     session.record_warm(r.stats);
     return finish(in, std::move(r));
   }
@@ -261,73 +256,53 @@ class PowerExactSolver : public Solver {
     return opts;
   }
 
-  static PowerDPResult run_dp(const Instance& in, const PowerDPOptions& opts) {
-    return solve_power_exact(in.topo(), in.scen(), in.modes, in.costs, opts);
-  }
-
   static Solution finish(const Instance& in, PowerDPResult r) {
     return finish_frontier(in, r.feasible, std::move(r.frontier),
                            {r.stats.solve_seconds, r.stats.merge_pairs});
   }
+
+  const Entry run_;
 };
 
-class PowerSymmetricSolver : public Solver {
- public:
-  PowerSymmetricSolver() : Solver(make_info()) {}
-  static SolverInfo make_info() {
-    SolverInfo info;
-    info.name = "power-sym";
-    info.summary =
-        "reduced-state MinPower-BoundedCost DP for symmetric cost models "
-        "(the paper's experimental setting); identical frontier, much "
-        "faster";
-    info.objective = Objective::kMinPower;
-    info.exact = true;
-    info.needs_modes = true;
-    info.supports_pre_existing = true;
-    return info;
-  }
-  Solution solve(const Instance& in) const override {
-    PowerDPResult r = run_dp(in, dp_options());
-    return finish(in, std::move(r));
-  }
+SolverInfo power_exact_info() {
+  SolverInfo info;
+  info.name = "power-exact";
+  info.summary =
+      "exact MinPower-BoundedCost DP (Theorem 3): full cost-power Pareto "
+      "frontier under the general Eq. 4 cost model";
+  info.objective = Objective::kMinPower;
+  info.exact = true;
+  info.needs_modes = true;
+  info.supports_pre_existing = true;
+  return info;
+}
 
-  SolverCaps caps() const override { return SolverCaps::kIncremental; }
+PowerDPResult run_power_exact(const Instance& in, const PowerDPOptions& opts) {
+  return solve_power_exact(in.topo(), in.scen(), in.modes, in.costs, opts);
+}
 
-  Solution solve(const SolveRequest& request) const override {
-    const Instance& in = request.instance;
-    if (request.session == nullptr) return solve(in);
-    SolveSession& session = *request.session;
-    session.check_topology(in.topology);
-    PowerDPOptions opts = dp_options();
-    opts.cache = &session.power_cache(name());
-    opts.deltas = request.deltas;
-    PowerDPResult r = run_dp(in, opts);
-    session.record_warm(r.stats);
-    return finish(in, std::move(r));
-  }
+SolverInfo power_symmetric_info() {
+  SolverInfo info;
+  info.name = "power-sym";
+  info.summary =
+      "reduced-state MinPower-BoundedCost DP for symmetric cost models "
+      "(the paper's experimental setting); identical frontier, much "
+      "faster";
+  info.objective = Objective::kMinPower;
+  info.exact = true;
+  info.needs_modes = true;
+  info.supports_pre_existing = true;
+  return info;
+}
 
- private:
-  PowerDPOptions dp_options() const {
-    PowerDPOptions opts;
-    opts.threads = static_cast<std::size_t>(options().threads);
-    opts.pool = worker_pool();
-    return opts;
-  }
-
-  PowerDPResult run_dp(const Instance& in, const PowerDPOptions& opts) const {
-    TREEPLACE_CHECK_MSG(in.costs.is_symmetric(),
-                        "power-sym requires a symmetric cost model; use "
-                        "power-exact for general Eq. 4 costs");
-    return solve_power_symmetric(in.topo(), in.scen(), in.modes, in.costs,
-                                 opts);
-  }
-
-  static Solution finish(const Instance& in, PowerDPResult r) {
-    return finish_frontier(in, r.feasible, std::move(r.frontier),
-                           {r.stats.solve_seconds, r.stats.merge_pairs});
-  }
-};
+PowerDPResult run_power_symmetric(const Instance& in,
+                                  const PowerDPOptions& opts) {
+  TREEPLACE_CHECK_MSG(in.costs.is_symmetric(),
+                      "power-sym requires a symmetric cost model; use "
+                      "power-exact for general Eq. 4 costs");
+  return solve_power_symmetric(in.topo(), in.scen(), in.modes, in.costs,
+                               opts);
+}
 
 // --- Power heuristics ------------------------------------------------------
 
@@ -506,6 +481,13 @@ void add_to(SolverRegistry& registry) {
                [] { return std::make_unique<SolverClass>(); });
 }
 
+void add_power_dp(SolverRegistry& registry, SolverInfo (*make_info)(),
+                  PowerDPSolver::Entry run) {
+  registry.add(make_info(), [make_info, run] {
+    return std::make_unique<PowerDPSolver>(make_info(), run);
+  });
+}
+
 }  // namespace
 
 namespace detail {
@@ -515,8 +497,8 @@ void register_builtin_solvers(SolverRegistry& registry) {
   add_to<GreedyPreferPreSolver>(registry);
   add_to<GreedyReuseSolver>(registry);
   add_to<UpdateDpSolver>(registry);
-  add_to<PowerExactSolver>(registry);
-  add_to<PowerSymmetricSolver>(registry);
+  add_power_dp(registry, &power_exact_info, &run_power_exact);
+  add_power_dp(registry, &power_symmetric_info, &run_power_symmetric);
   add_to<PowerGreedySolver>(registry);
   add_to<PowerLocalSearchSolver>(registry);
   add_to<ExhaustiveCostSolver>(registry);

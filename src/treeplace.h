@@ -31,8 +31,7 @@
 #include "core/greedy_power.h"         // GR capacity sweep (Section 5.2)
 #include "core/heuristics.h"           // Section 6 future-work heuristics
 #include "core/np_reduction.h"         // Theorem 2 gadget (2-Partition)
-#include "core/power_dp.h"             // exact power DP (Theorem 3)
-#include "core/power_dp_symmetric.h"   // reduced-state symmetric-cost DP
+#include "core/power_dp.h"             // power DP (Theorem 3), both keys
 #include "gen/preexisting.h"
 #include "gen/tree_gen.h"
 #include "gen/workload.h"

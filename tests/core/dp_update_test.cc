@@ -13,7 +13,8 @@ namespace {
 using testing::make_fig1;
 using testing::make_random_small;
 
-constexpr MinCostConfig kPaperConfig{10, 0.1, 0.01};
+constexpr MinCostConfig kPaperConfig{
+    .capacity = 10, .create = 0.1, .delete_cost = 0.01};
 
 TEST(DpUpdateTest, Fig1WithTwoRootRequestsReusesB) {
   // Paper Section 3.1: "if the root r has two client requests, then it was
@@ -106,7 +107,7 @@ TEST(DpUpdateTest, KeepsIdlePreExistingWhenDeletingIsExpensive) {
   builder.set_pre_existing(r);
   builder.set_pre_existing(a);
   const Tree tree = std::move(builder).build();
-  const MinCostConfig config{10, 0.5, 2.0};
+  const MinCostConfig config{.capacity = 10, .create = 0.5, .delete_cost = 2.0};
   const MinCostResult res = solve_min_cost_with_pre(tree, config);
   ASSERT_TRUE(res.feasible);
   // Reuse both: cost 2.  Alternatives: reuse A only = 1 + 2 = 3.
@@ -213,7 +214,8 @@ class DpUpdateOracleTest : public ::testing::TestWithParam<DpOracleParam> {};
 
 TEST_P(DpUpdateOracleTest, MatchesExhaustiveOptimum) {
   const DpOracleParam p = GetParam();
-  const MinCostConfig config{10, p.create, p.delete_cost};
+  const MinCostConfig config{
+      .capacity = 10, .create = p.create, .delete_cost = p.delete_cost};
   const CostModel costs = CostModel::simple(p.create, p.delete_cost);
   for (std::uint64_t i = 0; i < 20; ++i) {
     const Tree tree = make_random_small(

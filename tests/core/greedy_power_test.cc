@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/power_dp_symmetric.h"
+#include "core/power_dp.h"
 #include "model/placement.h"
 #include "tests/core/test_instances.h"
 
@@ -48,7 +48,9 @@ TEST(GreedyPowerTest, BestWithinCostRespectsBudget) {
   ASSERT_NE(best, nullptr);
   EXPECT_LE(best->cost, 50.0 + 1e-9);
   for (const GreedyPowerCandidate& c : r.candidates) {
-    if (c.feasible && c.cost <= 50.0) EXPECT_LE(best->power, c.power);
+    if (c.feasible && c.cost <= 50.0) {
+      EXPECT_LE(best->power, c.power);
+    }
   }
 }
 

@@ -4,7 +4,7 @@
 
 #include "core/dp_update.h"
 #include "core/greedy_power.h"
-#include "core/power_dp_symmetric.h"
+#include "core/power_dp.h"
 #include "tests/core/test_instances.h"
 
 namespace treeplace {
@@ -61,7 +61,8 @@ TEST(ImproveReuseTest, RecoversFig1Reuse) {
   EXPECT_TRUE(gr.placement.contains(f.b));
   // Matches the DP optimum on this instance.
   const MinCostResult dp =
-      solve_min_cost_with_pre(f.tree, MinCostConfig{10, 0.1, 0.01});
+      solve_min_cost_with_pre(f.tree, MinCostConfig{
+          .capacity = 10, .create = 0.1, .delete_cost = 0.01});
   EXPECT_NEAR(after, dp.breakdown.cost, 1e-9);
 }
 
@@ -88,7 +89,8 @@ TEST(ImproveReuseTest, NeverBeatsTheDp) {
     improve_reuse(tree, 10, costs, gr.placement);
     const double heuristic = evaluate_cost(tree, gr.placement, costs).cost;
     const MinCostResult dp =
-        solve_min_cost_with_pre(tree, MinCostConfig{10, 0.1, 0.01});
+        solve_min_cost_with_pre(tree, MinCostConfig{
+            .capacity = 10, .create = 0.1, .delete_cost = 0.01});
     EXPECT_GE(heuristic, dp.breakdown.cost - 1e-9) << "tree " << i;
   }
 }

@@ -22,7 +22,6 @@
 #include "core/dp_util.h"
 #include "core/exhaustive.h"
 #include "core/power_dp.h"
-#include "core/power_dp_symmetric.h"
 #include "gen/preexisting.h"
 #include "gen/tree_gen.h"
 #include "support/prng.h"
@@ -148,7 +147,8 @@ TEST(MergePlanTest, UpdateDpMatchesExhaustiveCostAcrossFanouts) {
   for (const TreeShape& shape : kFuzzShapes) {
     for (std::uint64_t index = 0; index < 4; ++index) {
       Tree tree = make_tree(502, index, 10, shape, 1);
-      const MinCostConfig config{10, 0.1, 0.01};
+      const MinCostConfig config{
+          .capacity = 10, .create = 0.1, .delete_cost = 0.01};
       const MinCostResult dp = solve_min_cost_with_pre(tree, config);
       const auto oracle = exhaustive_min_cost(tree, 10, costs);
       ASSERT_EQ(dp.feasible, oracle.has_value());

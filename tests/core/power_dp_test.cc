@@ -124,7 +124,8 @@ TEST(PowerDpTest, SingleModeMatchesCostDp) {
     const ModeSet modes = ModeSet::single(10);
     const PowerDPResult power = solve_power_exact(tree, modes, costs);
     const MinCostResult cost =
-        solve_min_cost_with_pre(tree, MinCostConfig{10, 0.1, 0.01});
+        solve_min_cost_with_pre(tree, MinCostConfig{
+            .capacity = 10, .create = 0.1, .delete_cost = 0.01});
     ASSERT_EQ(power.feasible, cost.feasible);
     if (!power.feasible) continue;
     ASSERT_FALSE(power.frontier.empty());

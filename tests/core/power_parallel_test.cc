@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "core/power_dp.h"
-#include "core/power_dp_symmetric.h"
 #include "gen/preexisting.h"
 #include "gen/tree_gen.h"
 #include "solver/registry.h"
@@ -57,7 +56,8 @@ TEST(PowerParallelTest, SymmetricDpIdenticalAcrossThreadCounts) {
     const PowerDPResult serial = solve_power_symmetric(tree, modes, costs);
     for (const std::size_t threads : {2, 3, 8}) {
       const PowerDPResult parallel =
-          solve_power_symmetric(tree, modes, costs, PowerDPOptions{threads});
+          solve_power_symmetric(tree, modes, costs,
+                                PowerDPOptions{.threads = threads});
       expect_identical(serial, parallel);
     }
   }
@@ -71,7 +71,8 @@ TEST(PowerParallelTest, ExactDpIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(serial.feasible);
   for (const std::size_t threads : {2, 4}) {
     const PowerDPResult parallel =
-        solve_power_exact(tree, modes, costs, PowerDPOptions{threads});
+        solve_power_exact(tree, modes, costs,
+                          PowerDPOptions{.threads = threads});
     expect_identical(serial, parallel);
   }
 }

@@ -1,4 +1,3 @@
-#include "core/power_dp_symmetric.h"
 
 #include <gtest/gtest.h>
 
@@ -47,13 +46,13 @@ TEST(PowerSymmetricTest, SolutionsAreValid) {
   }
 }
 
-TEST(PowerSymmetricTest, AutoDispatch) {
+TEST(PowerSymmetricTest, EntryPointsSolveBothCostModels) {
   const auto f = make_fig2(4);
   const ModeSet modes({7, 10}, 10.0, 2.0);
   const CostModel sym = CostModel::uniform(2, 0.1, 0.01, 0.001);
   CostModel asym({0.1, 0.2}, {0.01, 0.01}, {{0.0, 0.1}, {0.1, 0.0}});
-  EXPECT_TRUE(solve_power_auto(f.tree, modes, sym).feasible);
-  EXPECT_TRUE(solve_power_auto(f.tree, modes, asym).feasible);
+  EXPECT_TRUE(solve_power_symmetric(f.tree, modes, sym).feasible);
+  EXPECT_TRUE(solve_power_exact(f.tree, modes, asym).feasible);
 }
 
 /// The core guarantee: the reduced state space loses nothing.  Frontier

@@ -6,7 +6,6 @@
 #include "core/exhaustive.h"
 #include "core/greedy.h"
 #include "core/power_dp.h"
-#include "core/power_dp_symmetric.h"
 #include "tests/core/test_instances.h"
 
 namespace treeplace {
@@ -23,7 +22,8 @@ TEST(ConsistencyTest, CostDpAgreesWithSingleModePowerDp) {
          std::vector<std::pair<double, double>>{
              {0.1, 0.01}, {1.0, 1.0}, {0.0, 0.0}, {0.4, 1.6}}) {
       const MinCostResult cost_dp = solve_min_cost_with_pre(
-          tree, MinCostConfig{10, create, del});
+          tree,
+          MinCostConfig{.capacity = 10, .create = create, .delete_cost = del});
       const PowerDPResult power_dp = solve_power_exact(
           tree, ModeSet::single(10), CostModel::simple(create, del));
       ASSERT_EQ(cost_dp.feasible, power_dp.feasible);
@@ -81,7 +81,9 @@ TEST(ConsistencyTest, ThreeWayFrontierAgreement) {
 TEST(ConsistencyTest, RelaxationsNeverHurt) {
   for (std::uint64_t i = 0; i < 15; ++i) {
     Tree tree = make_random_small(818, i, 12, 1, 7, 0);
-    const MinCostConfig config{10, 0.1, 0.0};  // delete cost 0 isolates reuse
+    // delete cost 0 isolates reuse
+    const MinCostConfig config{
+        .capacity = 10, .create = 0.1, .delete_cost = 0.0};
     const MinCostResult none = solve_min_cost_with_pre(tree, config);
     ASSERT_TRUE(none.feasible);
 

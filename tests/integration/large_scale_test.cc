@@ -5,7 +5,7 @@
 
 #include "core/dp_update.h"
 #include "core/greedy.h"
-#include "core/power_dp_symmetric.h"
+#include "core/power_dp.h"
 #include "gen/preexisting.h"
 #include "gen/tree_gen.h"
 #include "model/placement.h"
@@ -26,7 +26,8 @@ TEST(LargeScaleTest, GreedyAndDpAgreeOnCountAtExperimentSize) {
 
     const GreedyResult gr = solve_greedy_min_count(tree, 10);
     const MinCostResult dp =
-        solve_min_cost_with_pre(tree, MinCostConfig{10, 0.1, 0.01});
+        solve_min_cost_with_pre(tree, MinCostConfig{
+            .capacity = 10, .create = 0.1, .delete_cost = 0.01});
     ASSERT_TRUE(gr.feasible && dp.feasible);
     EXPECT_EQ(static_cast<int>(gr.placement.size()), dp.breakdown.servers);
     EXPECT_TRUE(validate(tree, dp.placement, ModeSet::single(10)).valid);
@@ -45,7 +46,8 @@ TEST(LargeScaleTest, DpReuseDominatesGreedyPerTree) {
 
     const GreedyResult gr = solve_greedy_min_count(tree, 10);
     const MinCostResult dp =
-        solve_min_cost_with_pre(tree, MinCostConfig{10, 0.1, 0.01});
+        solve_min_cost_with_pre(tree, MinCostConfig{
+            .capacity = 10, .create = 0.1, .delete_cost = 0.01});
     ASSERT_TRUE(gr.feasible && dp.feasible);
     EXPECT_GE(dp.breakdown.reused,
               evaluate_cost(tree, gr.placement, costs).reused);
@@ -101,7 +103,8 @@ TEST(LargeScaleTest, MemoryBoundedReconstructionMatchesTableCost) {
   assign_random_pre_existing(tree, 75, rng);
 
   const MinCostResult dp =
-      solve_min_cost_with_pre(tree, MinCostConfig{10, 0.1, 0.01});
+      solve_min_cost_with_pre(tree, MinCostConfig{
+          .capacity = 10, .create = 0.1, .delete_cost = 0.01});
   ASSERT_TRUE(dp.feasible);
   const CostBreakdown check =
       evaluate_cost(tree, dp.placement, CostModel::simple(0.1, 0.01));

@@ -7,7 +7,7 @@
 #include "core/greedy.h"
 #include "core/greedy_power.h"
 #include "core/heuristics.h"
-#include "core/power_dp_symmetric.h"
+#include "core/power_dp.h"
 #include "gen/preexisting.h"
 #include "gen/tree_gen.h"
 #include "gen/workload.h"
@@ -35,7 +35,8 @@ Tree make_experiment_tree(std::uint64_t index, std::size_t num_pre) {
 TEST(PipelineTest, CostPipelineOnPaperStyleTrees) {
   for (std::uint64_t i = 0; i < 6; ++i) {
     Tree tree = make_experiment_tree(i, 10);
-    const MinCostConfig config{10, 0.1, 0.01};
+    const MinCostConfig config{
+        .capacity = 10, .create = 0.1, .delete_cost = 0.01};
     const GreedyResult gr = solve_greedy_min_count(tree, config.capacity);
     const MinCostResult dp = solve_min_cost_with_pre(tree, config);
     ASSERT_TRUE(gr.feasible);
@@ -81,7 +82,8 @@ TEST(PipelineTest, PowerPipelineOnPaperStyleTrees) {
 
 TEST(PipelineTest, DynamicChainKeepsSolutionsValidAcrossSteps) {
   Tree tree = make_experiment_tree(0, 0);
-  const MinCostConfig config{10, 0.1, 0.01};
+  const MinCostConfig config{
+      .capacity = 10, .create = 0.1, .delete_cost = 0.01};
   Placement previous;
   for (std::size_t step = 0; step < 6; ++step) {
     Xoshiro256 rng = make_rng(7070, step, RngStream::kWorkloadUpdate);
@@ -99,7 +101,8 @@ TEST(PipelineTest, DynamicChainKeepsSolutionsValidAcrossSteps) {
 TEST(PipelineTest, SerializationRoundTripPreservesSolverResults) {
   Tree tree = make_experiment_tree(2, 8);
   const Tree reparsed = parse_tree(serialize_tree(tree));
-  const MinCostConfig config{10, 0.1, 0.01};
+  const MinCostConfig config{
+      .capacity = 10, .create = 0.1, .delete_cost = 0.01};
   const MinCostResult a = solve_min_cost_with_pre(tree, config);
   const MinCostResult b = solve_min_cost_with_pre(reparsed, config);
   ASSERT_TRUE(a.feasible && b.feasible);
@@ -118,7 +121,8 @@ TEST(PipelineTest, HeuristicsSlotBetweenGreedyAndDp) {
     const double heuristic_cost =
         evaluate_cost(tree, gr.placement, costs).cost;
     const MinCostResult dp =
-        solve_min_cost_with_pre(tree, MinCostConfig{10, 0.1, 0.01});
+        solve_min_cost_with_pre(tree, MinCostConfig{
+            .capacity = 10, .create = 0.1, .delete_cost = 0.01});
     EXPECT_LE(heuristic_cost, gr_cost + 1e-12);
     EXPECT_GE(heuristic_cost, dp.breakdown.cost - 1e-9);
   }

@@ -214,7 +214,9 @@ TEST(RequestStreamTest, CrlfStreamsParseIdentically) {
     if (!a) break;
     EXPECT_EQ(a->topology_key, b->topology_key);
     ASSERT_EQ(a->tree.has_value(), b->tree.has_value());
-    if (a->tree) EXPECT_EQ(serialize_tree(*a->tree), serialize_tree(*b->tree));
+    if (a->tree) {
+      EXPECT_EQ(serialize_tree(*a->tree), serialize_tree(*b->tree));
+    }
     EXPECT_EQ(a->deltas.size(), b->deltas.size());
   }
 }

@@ -43,7 +43,9 @@ TEST(Experiment3Test, DpDominatesGreedyEverywhere) {
   for (const auto& row : r.rows) {
     EXPECT_GE(row.score_dp, row.score_gr - 1e-12);
     EXPECT_GE(row.solved_dp, row.solved_gr - 1e-12);
-    if (row.both_solved > 0) EXPECT_GE(row.power_ratio, 1.0 - 1e-9);
+    if (row.both_solved > 0) {
+      EXPECT_GE(row.power_ratio, 1.0 - 1e-9);
+    }
   }
 }
 

@@ -322,7 +322,9 @@ TEST_P(RegisteredSolverTest, HonorsCostBudget) {
   // costs at least 1, so 1e-3 admits nothing).
   instance.cost_budget = 1e-3;
   const Solution impossible = solver->solve(instance);
-  if (impossible.feasible) EXPECT_FALSE(impossible.budget_met);
+  if (impossible.feasible) {
+    EXPECT_FALSE(impossible.budget_met);
+  }
 }
 
 // --- The exhaustive-power oracle's reconstructed placements ---------------

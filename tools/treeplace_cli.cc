@@ -1,10 +1,10 @@
 // treeplace command-line tool — drive the library without writing C++.
 //
 //   treeplace gen --nodes 50 --shape fat --seed 7 > tree.txt
-//   treeplace solve --algo update-dp --capacity 10 --create 0.1 \
+//   treeplace solve --algo update-dp --capacity 10 --create 0.1
 //             --delete 0.01 < tree.txt
-//   treeplace solve --algo power-sym --modes 5,10 --static 12.5 --alpha 3 \
-//             --create 0.1 --delete 0.01 --changed 0.001 [--budget 25] \
+//   treeplace solve --algo power-sym --modes 5,10 --static 12.5 --alpha 3
+//             --create 0.1 --delete 0.01 --changed 0.001 [--budget 25]
 //             < tree.txt
 //   treeplace solve --list-algos
 //   treeplace serve --algo power-sym --modes 5,10 --threads 8 < stream.txt
