@@ -481,10 +481,10 @@ void add_to(SolverRegistry& registry) {
                [] { return std::make_unique<SolverClass>(); });
 }
 
-void add_power_dp(SolverRegistry& registry, SolverInfo (*make_info)(),
+void add_power_dp(SolverRegistry& registry, const SolverInfo& info,
                   PowerDPSolver::Entry run) {
-  registry.add(make_info(), [make_info, run] {
-    return std::make_unique<PowerDPSolver>(make_info(), run);
+  registry.add(info, [info, run] {
+    return std::make_unique<PowerDPSolver>(info, run);
   });
 }
 
@@ -497,8 +497,8 @@ void register_builtin_solvers(SolverRegistry& registry) {
   add_to<GreedyPreferPreSolver>(registry);
   add_to<GreedyReuseSolver>(registry);
   add_to<UpdateDpSolver>(registry);
-  add_power_dp(registry, &power_exact_info, &run_power_exact);
-  add_power_dp(registry, &power_symmetric_info, &run_power_symmetric);
+  add_power_dp(registry, power_exact_info(), &run_power_exact);
+  add_power_dp(registry, power_symmetric_info(), &run_power_symmetric);
   add_to<PowerGreedySolver>(registry);
   add_to<PowerLocalSearchSolver>(registry);
   add_to<ExhaustiveCostSolver>(registry);
