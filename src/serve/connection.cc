@@ -16,28 +16,31 @@ Connection::~Connection() {
 }
 
 void Connection::pump() {
-  while (std::optional<std::string_view> line = in_.next_line()) {
-    if (std::optional<ServeRequest> request = parser_.feed(*line)) {
-      ready_.push_back(std::move(*request));
-    }
+  if (failed) {
+    in_.take_rest();  // a failed stream parses nothing more
+    return;
   }
+  while (std::optional<std::string_view> line = in_.next_line()) feed(*line);
 }
 
 void Connection::input_done() {
   if (peer_eof_) return;
   peer_eof_ = true;
+  if (failed) return;  // a failed stream parses nothing more
   // A final line without a terminating newline still counts, as it does
   // for getline() at EOF in stream mode.
   if (std::optional<std::string_view> rest = in_.take_rest()) {
-    if (!rest->empty()) {
-      if (std::optional<ServeRequest> request = parser_.feed(*rest)) {
-        ready_.push_back(std::move(*request));
-      }
-    }
+    if (!rest->empty()) feed(*rest);
   }
   if (std::optional<ServeRequest> request = parser_.finish()) {
     ready_.push_back(std::move(*request));
   }
+}
+
+void Connection::feed(std::string_view line) {
+  feed_line(parser_, line, [this](ServeRequest request) {
+    ready_.push_back(std::move(request));
+  });
 }
 
 std::size_t Connection::allocate_seq(double now_seconds) {

@@ -28,7 +28,6 @@
 #include <optional>
 #include <string>
 
-#include "serve/request_stream.h"
 #include "serve/wire.h"
 
 namespace treeplace::serve {
@@ -76,12 +75,15 @@ class Connection {
   /// Frames every complete buffered line through the record parser;
   /// completed records are appended to ready_requests().  Throws
   /// CheckError on malformed input (a fatal per-connection protocol
-  /// error; the caller renders it and closes the connection).
+  /// error): every record completed before the bad line is still
+  /// appended, and the caller serves them before the error note.  Once
+  /// the connection has failed, buffered input is discarded instead.
   void pump();
 
   /// The peer half-closed its write side: parse the trailing unterminated
   /// line, if any, and complete the in-progress record — end-of-input
-  /// terminates a record exactly as in stream mode.
+  /// terminates a record exactly as in stream mode.  Parses nothing once
+  /// the connection has failed.
   void input_done();
 
   bool peer_eof() const { return peer_eof_; }
@@ -128,17 +130,23 @@ class Connection {
   bool poll_write = false;
   /// In the loop's stalled list (dispatcher queue was full).
   bool stalled = false;
-  /// Set on a fatal protocol error; the connection stops reading, lets
-  /// in-flight results finish, appends the error note, then closes.
+  /// Set on a fatal protocol error; the connection stops parsing, serves
+  /// the records parsed before the bad line, lets in-flight results
+  /// finish, appends the error note, then closes.
   bool failed = false;
   std::string fail_reason;
   bool fail_noted = false;
+  /// The failed connection's write side is shut (EOF sent); the loop
+  /// discards input until the peer's EOF, then closes.
+  bool write_shut = false;
   /// Idle-reaper hooks: connections sit in the server's activity-ordered
   /// list; uniform timeouts make the front the oldest.
   std::list<std::uint64_t>::iterator idle_pos;
   double last_activity_seconds = 0.0;
 
  private:
+  void feed(std::string_view line);
+
   int fd_;
   std::uint64_t uid_;
   LineBuffer in_;

@@ -311,10 +311,9 @@ class NetServer::Loop {
         dispatcher_(config_.stream.dispatcher),
         cache_(config_.stream.cache_capacity,
                SolveSession::Options{config_.stream.session_max_bytes}),
-        poller_(Poller::create()) {
-    format_.print_placements = config_.stream.print_placements;
-    format_.has_budget = config_.stream.cost_budget.has_value();
-  }
+        poller_(Poller::create()),
+        format_{config_.stream.print_placements,
+                config_.stream.cost_budget.has_value()} {}
 
   ShardReport run();
 
@@ -483,15 +482,11 @@ void NetServer::Loop::handle_readable(Connection* conn) {
     break;
   }
 
-  if (!conn->failed) {
-    try {
-      conn->pump();
-      if (eof) conn->input_done();
-    } catch (const CheckError& e) {
-      fail_connection(conn, e.what());
-    }
-  } else if (eof) {
-    conn->input_done();
+  try {
+    conn->pump();
+    if (eof) conn->input_done();
+  } catch (const CheckError& e) {
+    fail_connection(conn, e.what());
   }
   process_requests(conn);
   flush_completed(conn);  // writes, re-arms interest, may close
@@ -506,10 +501,6 @@ void NetServer::Loop::handle_writable(Connection* conn) {
 }
 
 void NetServer::Loop::process_requests(Connection* conn) {
-  if (conn->failed) {
-    conn->ready_requests().clear();
-    return;
-  }
   while (!conn->ready_requests().empty()) {
     if (conn->out().size() > config_.max_output_bytes) {
       if (conn->poll_read) ++summary_.output_stalls;
@@ -550,60 +541,23 @@ void NetServer::Loop::process_requests(Connection* conn) {
       break;  // socket read interest drops until a slot frees up
     }
 
-    // Mirrors StreamServer: tree records (re)register the topology and
-    // solve through the fresh session; delta records fork the cached base.
-    std::optional<Instance> instance;
-    std::shared_ptr<SolveSession> session;
-    std::optional<ServeResult> inline_error;
-    if (request.tree) {
-      auto topology = request.tree->topology_ptr();
-      Scenario base = std::move(request.tree->scenario());
-      session = cache_.put(cache_key, topology, base);
-      if (!config_.persist_dir.empty() && conn->named) {
-        maybe_restore(cache_key, *session);
-      }
-      instance.emplace(std::move(topology), std::move(base),
-                       config_.stream.modes, config_.stream.costs,
-                       config_.stream.cost_budget);
-    } else {
-      std::optional<CachedTopology> entry = cache_.get(cache_key);
-      if (!entry) {
-        ServeResult miss;
-        miss.error = "unknown topology '" + client_key +
-                     "' (not in the stream, or evicted from the cache)";
-        inline_error = std::move(miss);
-      } else {
-        try {
-          Scenario scen = std::move(entry->base);
-          for (const ScenarioDelta& delta : request.deltas) {
-            apply_delta(scen, delta);
-          }
-          session = std::move(entry->session);
-          instance.emplace(std::move(entry->topology), std::move(scen),
-                           config_.stream.modes, config_.stream.costs,
-                           config_.stream.cost_budget);
-        } catch (const CheckError& e) {
-          ServeResult bad;
-          bad.error = e.what();
-          inline_error = std::move(bad);
-        }
-      }
+    BoundRequest bound =
+        bind_request(request, cache_key, cache_, config_.stream);
+    if (request.tree && !config_.persist_dir.empty() && conn->named) {
+      maybe_restore(cache_key, *bound.session);
     }
 
     const std::size_t seq = conn->allocate_seq(now());
-    if (inline_error) {
+    if (bound.error) {
       dispatcher_.release_reserved_slot();
       conn->complete(seq,
-                     render_result(request.id, client_key, *inline_error,
+                     render_result(request.id, client_key, *bound.error,
                                    format_));
     } else {
-      if (config_.stream.project_original_modes) {
-        project_to_single_mode(instance->scenario);
-      }
       const std::uint64_t uid = conn->uid();
       const std::size_t id = request.id;
       dispatcher_.submit_reserved(
-          0, std::move(*instance), std::move(session),
+          0, std::move(*bound.instance), std::move(bound.session),
           std::move(request.deltas),
           [this, uid, seq, id, client_key](ServeResult result) {
             push_completion(Completion{
@@ -620,22 +574,12 @@ void NetServer::Loop::process_requests(Connection* conn) {
 void NetServer::Loop::flush_completed(Connection* conn) {
   while (std::optional<Connection::Done> done = conn->next_completed()) {
     latency_.record(now() - done->submit_seconds);
-    switch (done->result.status) {
-      case ResultStatus::kOk:
-        ++summary_.ok;
-        if (done->result.budget_missed) ++summary_.over_budget;
-        break;
-      case ResultStatus::kInfeasible:
-        ++summary_.infeasible;
-        break;
-      case ResultStatus::kError:
-        ++summary_.errors;
-        break;
-    }
+    summary_.count(done->result);
     conn->out().append(done->result.line);
     ++conn->stats().results;
   }
-  if (conn->failed && !conn->fail_noted && conn->in_flight() == 0) {
+  if (conn->failed && !conn->fail_noted && conn->in_flight() == 0 &&
+      conn->ready_requests().empty()) {
     conn->fail_noted = true;
     ++summary_.protocol_errors;
     conn->out().append("# protocol error: " + conn->fail_reason + "\n");
@@ -665,9 +609,11 @@ bool NetServer::Loop::try_write(Connection* conn) {
 }
 
 void NetServer::Loop::update_interest(Connection* conn) {
-  const bool want_read = !conn->peer_eof() && !conn->failed && !draining_ &&
-                         conn->ready_requests().empty() &&
-                         conn->out().size() <= config_.max_output_bytes;
+  // A failed connection reads on only to discard (see maybe_close).
+  const bool want_read =
+      !conn->peer_eof() && !draining_ &&
+      (conn->failed || (conn->ready_requests().empty() &&
+                        conn->out().size() <= config_.max_output_bytes));
   const bool want_write = !conn->out().empty();
   if (want_read != conn->poll_read || want_write != conn->poll_write) {
     conn->poll_read = want_read;
@@ -677,10 +623,18 @@ void NetServer::Loop::update_interest(Connection* conn) {
 }
 
 void NetServer::Loop::maybe_close(Connection* conn) {
-  const bool no_more_input = conn->peer_eof() || conn->failed || draining_;
-  if (no_more_input && conn->ready_requests().empty() &&
-      conn->in_flight() == 0 && conn->out().empty()) {
+  if (!conn->ready_requests().empty() || conn->in_flight() > 0 ||
+      !conn->out().empty()) {
+    return;
+  }
+  if (conn->peer_eof() || draining_) {
     close_connection(conn);
+  } else if (conn->fail_noted && !conn->write_shut) {
+    // A failed connection has written its last byte: send EOF, then wait
+    // for the peer's before closing.  Closing on unread input would reset
+    // the connection, and a reset can discard results still in flight.
+    ::shutdown(conn->fd(), SHUT_WR);
+    conn->write_shut = true;
   }
 }
 
@@ -695,7 +649,6 @@ void NetServer::Loop::close_connection(Connection* conn) {
 void NetServer::Loop::fail_connection(Connection* conn, std::string reason) {
   conn->failed = true;
   conn->fail_reason = std::move(reason);
-  conn->ready_requests().clear();
 }
 
 void NetServer::Loop::touch_activity(Connection* conn) {
@@ -847,7 +800,7 @@ NetServer::ShardReport NetServer::Loop::run() {
   // sessions are quiescent: snapshot the named ones for the next owner.
   save_sessions();
 
-  summary_.wall_seconds = wall_.seconds();
+  summary_.set_wall_seconds(wall_.seconds());
   summary_.p50_latency_seconds = latency_.percentile(0.50);
   summary_.p99_latency_seconds = latency_.percentile(0.99);
   summary_.dispatcher = dispatcher_.stats();
@@ -1171,28 +1124,16 @@ NetServerSummary NetServer::run(std::ostream& summary_out) {
     total.cache.session_tables_dropped += s.cache.session_tables_dropped;
     total.cache.session_cells_skipped += s.cache.session_cells_skipped;
   }
-  total.wall_seconds = router.wall_seconds();
-  total.scenarios_per_second =
-      total.wall_seconds > 0.0
-          ? static_cast<double>(total.requests) / total.wall_seconds
-          : 0.0;
+  total.set_wall_seconds(router.wall_seconds());
   total.p50_latency_seconds = latency.percentile(0.50);
   total.p99_latency_seconds = latency.percentile(0.99);
 
   // The summary block: identical to the pre-sharding format (so existing
   // tooling keeps parsing it), with `# shard`/`# persist` lines appended
   // only when sharding or persistence is actually in play.
-  const SolverLatencyStats& solver = total.dispatcher.per_solver[0];
-  const double solves =
-      static_cast<double>(solver.solves > 0 ? solver.solves : 1);
+  total.print_serve_lines(summary_out, reports[0].threads,
+                          reports[0].queue_capacity);
   summary_out
-      << "# serve: " << total.requests << " requests in "
-      << total.wall_seconds << " s (" << total.scenarios_per_second
-      << " scenarios/s, " << reports[0].threads << " threads, queue "
-      << reports[0].queue_capacity << ")\n"
-      << "# serve: ok=" << total.ok << " infeasible=" << total.infeasible
-      << " errors=" << total.errors << " over_budget=" << total.over_budget
-      << "\n"
       << "# net: poller=" << reports[0].poller_name
       << " accepted=" << total.accepted << " dropped=" << total.dropped
       << " reaped_idle=" << total.reaped_idle
@@ -1203,26 +1144,8 @@ NetServerSummary NetServer::run(std::ostream& summary_out) {
       << " output_stalls=" << total.output_stalls
       << " bytes_in=" << total.bytes_in << " bytes_out=" << total.bytes_out
       << " p50_s=" << total.p50_latency_seconds
-      << " p99_s=" << total.p99_latency_seconds << "\n"
-      << "# cache: capacity=" << total.cache.capacity
-      << " size=" << total.cache.size << " hits=" << total.cache.hits
-      << " misses=" << total.cache.misses
-      << " evictions=" << total.cache.evictions << "\n"
-      << "# solver " << solver.algo << ": solves=" << solver.solves
-      << " warm=" << solver.warm
-      << " session_bytes=" << total.cache.session_bytes
-      << " session_budget="
-      << (config_.stream.session_max_bytes != 0
-              ? std::to_string(config_.stream.session_max_bytes)
-              : std::string("unbounded"))
-      << " dropped_snapshots=" << total.cache.session_snapshots_dropped
-      << " dropped_tables=" << total.cache.session_tables_dropped
-      << " cells_skipped=" << total.cache.session_cells_skipped
-      << " errors=" << solver.errors
-      << " mean_queue_s=" << solver.total_queue_seconds / solves
-      << " mean_solve_s=" << solver.total_solve_seconds / solves
-      << " max_solve_s=" << solver.max_solve_seconds
-      << " work=" << solver.total_work << "\n";
+      << " p99_s=" << total.p99_latency_seconds << "\n";
+  total.print_cache_lines(summary_out, config_.stream.session_max_bytes);
   if (reports.size() > 1) {
     for (std::size_t i = 0; i < reports.size(); ++i) {
       const NetServerSummary& s = reports[i].summary;

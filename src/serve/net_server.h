@@ -13,12 +13,14 @@
 // owning stable_hash64(name) — same name, same shard, same warm session
 // across reconnects — while anonymous connections spread by uid.  The
 // socket plus its pre-read bytes are then handed off to the shard, which
-// serves it exactly as the single-loop server of PR 7 did: records are
-// framed incrementally (serve/wire.h), bind a TopologyCache entry + warm
-// SolveSession under a CacheKey namespaced by the connection, solve on
-// the shard's dispatcher, and return per-connection-ordered result lines
-// byte-identical to a StreamServer run of the same records (modulo
-// queue_s=/solve_s= timings) — for any shard count.
+// frames its records incrementally (serve/wire.h's RecordParser, the one
+// serve grammar), binds each through bind_request() to a TopologyCache
+// entry + warm SolveSession under a CacheKey namespaced by the
+// connection, solves on the shard's dispatcher, and returns
+// per-connection-ordered result lines byte-identical to a StreamServer
+// run of the same records (modulo queue_s=/solve_s= timings) — for any
+// shard count, and for any segmentation of the input: a malformed record
+// still gets every earlier record's result, then `# protocol error:`.
 //
 // Persistence (`persist_dir`): a named client's sessions are written as
 // versioned snapshots (core/dp_snapshot.h via SolveSession::save) when
@@ -130,18 +132,12 @@ struct NetServerConfig {
   StreamServerConfig stream;
 };
 
-struct NetServerSummary {
+struct NetServerSummary : ServeSummary {
   std::uint64_t accepted = 0;
   std::uint64_t dropped = 0;      ///< refused at max_conns or while draining
   std::uint64_t reaped_idle = 0;  ///< closed by the idle timeout
   std::uint64_t protocol_errors = 0;  ///< connections failed on bad input
   std::uint64_t peak_connections = 0;
-
-  std::uint64_t requests = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t infeasible = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t over_budget = 0;
 
   std::uint64_t backpressure_stalls = 0;  ///< reads paused: dispatcher full
   std::uint64_t output_stalls = 0;        ///< reads paused: slow consumer
@@ -153,15 +149,10 @@ struct NetServerSummary {
   std::uint64_t sessions_restored = 0; ///< snapshots resumed warm
   std::uint64_t shards_killed = 0;     ///< shards drained by kill_shard()
 
-  double wall_seconds = 0.0;
-  double scenarios_per_second = 0.0;
   double p50_latency_seconds = 0.0;  ///< submit-to-emit, per result
   double p99_latency_seconds = 0.0;
 
   bool drain_timed_out = false;  ///< shutdown force-closed laggards
-
-  DispatcherStats dispatcher;
-  TopologyCacheStats cache;
 };
 
 /// Arms TCP keepalive probes on `fd`: SO_KEEPALIVE on, first probe after

@@ -6,8 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "serve/request_stream.h"
-#include "serve/wire.h"
 #include "support/check.h"
 #include "support/timer.h"
 
@@ -21,7 +19,7 @@ struct Pending {
   std::future<ServeResult> result;
 };
 
-/// An already-resolved future (error records discovered at build time slot
+/// An already-resolved future (error records discovered at bind time slot
 /// into the same ordered emission path as dispatched solves).
 std::future<ServeResult> ready_result(ServeResult result) {
   std::promise<ServeResult> promise;
@@ -30,6 +28,97 @@ std::future<ServeResult> ready_result(ServeResult result) {
 }
 
 }  // namespace
+
+BoundRequest bind_request(ServeRequest& request, const CacheKey& key,
+                          TopologyCache& cache,
+                          const StreamServerConfig& config) {
+  BoundRequest bound;
+  if (request.tree) {
+    auto topology = request.tree->topology_ptr();
+    Scenario base = std::move(request.tree->scenario());
+    bound.session = cache.put(key, topology, base);
+    bound.instance.emplace(std::move(topology), std::move(base), config.modes,
+                           config.costs, config.cost_budget);
+  } else {
+    std::optional<CachedTopology> entry = cache.get(key);
+    if (!entry) {
+      bound.error.emplace().error =
+          "unknown topology '" + key.topology_key +
+          "' (not in the stream, or evicted from the cache)";
+      return bound;
+    }
+    try {
+      // The cache handed out a private fork; apply the deltas on top.
+      Scenario scen = std::move(entry->base);
+      for (const ScenarioDelta& delta : request.deltas) {
+        apply_delta(scen, delta);
+      }
+      bound.session = std::move(entry->session);
+      bound.instance.emplace(std::move(entry->topology), std::move(scen),
+                             config.modes, config.costs, config.cost_budget);
+    } catch (const CheckError& e) {
+      bound.error.emplace().error = e.what();
+      return bound;
+    }
+  }
+  if (config.project_original_modes) {
+    project_to_single_mode(bound.instance->scenario);
+  }
+  return bound;
+}
+
+void ServeSummary::count(const RenderedResult& result) {
+  switch (result.status) {
+    case ResultStatus::kOk:
+      ++ok;
+      if (result.budget_missed) ++over_budget;
+      break;
+    case ResultStatus::kInfeasible:
+      ++infeasible;
+      break;
+    case ResultStatus::kError:
+      ++errors;
+      break;
+  }
+}
+
+void ServeSummary::set_wall_seconds(double seconds) {
+  wall_seconds = seconds;
+  scenarios_per_second =
+      seconds > 0.0 ? static_cast<double>(requests) / seconds : 0.0;
+}
+
+void ServeSummary::print_serve_lines(std::ostream& out, std::size_t threads,
+                                     std::size_t queue) const {
+  out << "# serve: " << requests << " requests in " << wall_seconds << " s ("
+      << scenarios_per_second << " scenarios/s, " << threads
+      << " threads, queue " << queue << ")\n"
+      << "# serve: ok=" << ok << " infeasible=" << infeasible
+      << " errors=" << errors << " over_budget=" << over_budget << "\n";
+}
+
+void ServeSummary::print_cache_lines(std::ostream& out,
+                                     std::size_t session_max_bytes) const {
+  const SolverLatencyStats& solver = dispatcher.per_solver[0];
+  const double solves =
+      static_cast<double>(solver.solves > 0 ? solver.solves : 1);
+  out << "# cache: capacity=" << cache.capacity << " size=" << cache.size
+      << " hits=" << cache.hits << " misses=" << cache.misses
+      << " evictions=" << cache.evictions << "\n"
+      << "# solver " << solver.algo << ": solves=" << solver.solves
+      << " warm=" << solver.warm << " session_bytes=" << cache.session_bytes
+      << " session_budget="
+      << (session_max_bytes != 0 ? std::to_string(session_max_bytes)
+                                 : std::string("unbounded"))
+      << " dropped_snapshots=" << cache.session_snapshots_dropped
+      << " dropped_tables=" << cache.session_tables_dropped
+      << " cells_skipped=" << cache.session_cells_skipped
+      << " errors=" << solver.errors
+      << " mean_queue_s=" << solver.total_queue_seconds / solves
+      << " mean_solve_s=" << solver.total_solve_seconds / solves
+      << " max_solve_s=" << solver.max_solve_seconds
+      << " work=" << solver.total_work << "\n";
+}
 
 StreamServer::StreamServer(StreamServerConfig config)
     : config_(std::move(config)) {
@@ -41,7 +130,7 @@ StreamServerSummary StreamServer::serve(std::istream& in, std::ostream& out) {
   SolveDispatcher dispatcher(config_.dispatcher);
   TopologyCache cache(config_.cache_capacity,
                       SolveSession::Options{config_.session_max_bytes});
-  RequestStreamReader reader(in);
+  RecordParser parser;
   StreamServerSummary summary;
   Stopwatch wall;
 
@@ -54,96 +143,50 @@ StreamServerSummary StreamServer::serve(std::istream& in, std::ostream& out) {
   const ResultFormat format{config_.print_placements,
                             config_.cost_budget.has_value()};
   const auto emit = [&](Pending& p) {
-    const ServeResult result = p.result.get();
-    const RenderedResult rendered = render_result(p.id, p.key, result, format);
-    switch (rendered.status) {
-      case ResultStatus::kError:
-        ++summary.errors;
-        break;
-      case ResultStatus::kInfeasible:
-        ++summary.infeasible;
-        break;
-      case ResultStatus::kOk:
-        ++summary.ok;
-        if (rendered.budget_missed) ++summary.over_budget;
-        break;
-    }
+    const RenderedResult rendered =
+        render_result(p.id, p.key, p.result.get(), format);
+    summary.count(rendered);
     out << rendered.line;
   };
 
-  // A malformed stream stops the reader but never the emitter: everything
+  const auto submit = [&](ServeRequest request) {
+    if (request.hello) {
+      // The handshake is always the stream's first record (the parser
+      // enforces it), so the reply precedes every result line.
+      out << hello_reply();
+      return;  // consumes no request ordinal, no dispatcher slot
+    }
+    Pending p;
+    p.id = request.id;
+    p.key = request.topology_key;
+    // Single-stream serving lives in cache namespace 0; the TCP front-end
+    // namespaces by connection (serve/connection.h).
+    BoundRequest bound = bind_request(request, CacheKey{0, p.key}, cache,
+                                      config_);
+    if (bound.instance) {
+      p.result = dispatcher.submit(0, std::move(*bound.instance),
+                                   std::move(bound.session),
+                                   std::move(request.deltas));
+    } else {
+      p.result = ready_result(std::move(*bound.error));
+    }
+    pending.push_back(std::move(p));
+    ++summary.requests;
+    while (pending.size() > window) {
+      emit(pending.front());
+      pending.pop_front();
+    }
+  };
+
+  // A malformed stream stops the reader but never the emitter: every
+  // record completed before the bad line is served and everything
   // already dispatched is flushed below, then the summary block reports
   // the failure (the CLI turns it into a nonzero exit).
   try {
-    for (std::optional<ServeRequest> request = reader.next(); request;
-         request = reader.next()) {
-      if (request->hello) {
-        // The handshake is always the stream's first record (the reader
-        // enforces it), so the reply precedes every result line.
-        out << hello_reply();
-        continue;  // consumes no request ordinal, no dispatcher slot
-      }
-      Pending p;
-      p.id = request->id;
-      p.key = request->topology_key;
-      // Single-stream serving lives in cache namespace 0; the TCP
-      // front-end namespaces by connection (serve/connection.h).
-      const CacheKey cache_key{0, p.key};
-
-      // Sessions ride with their cache entry: a tree record's base solve
-      // fills the session's DP tables cold, subsequent delta requests on
-      // the same topology re-solve warm, and eviction drops the session
-      // with the topology (in-flight solves keep it alive via the
-      // shared_ptr).
-      std::optional<Instance> instance;
-      std::shared_ptr<SolveSession> session;
-      if (request->tree) {
-        auto topology = request->tree->topology_ptr();
-        Scenario base = std::move(request->tree->scenario());
-        session = cache.put(cache_key, topology, base);
-        instance.emplace(std::move(topology), std::move(base), config_.modes,
-                         config_.costs, config_.cost_budget);
-      } else {
-        std::optional<CachedTopology> entry = cache.get(cache_key);
-        if (!entry) {
-          ServeResult miss;
-          miss.error = "unknown topology '" + p.key +
-                       "' (not in the stream, or evicted from the cache)";
-          p.result = ready_result(std::move(miss));
-        } else {
-          try {
-            // The cache handed out a private fork; apply the deltas on top.
-            Scenario scen = std::move(entry->base);
-            for (const ScenarioDelta& delta : request->deltas) {
-              apply_delta(scen, delta);
-            }
-            session = std::move(entry->session);
-            instance.emplace(std::move(entry->topology), std::move(scen),
-                             config_.modes, config_.costs,
-                             config_.cost_budget);
-          } catch (const CheckError& e) {
-            ServeResult bad;
-            bad.error = e.what();
-            p.result = ready_result(std::move(bad));
-          }
-        }
-      }
-
-      if (instance) {
-        if (config_.project_original_modes) {
-          project_to_single_mode(instance->scenario);
-        }
-        p.result = dispatcher.submit(0, std::move(*instance),
-                                     std::move(session),
-                                     std::move(request->deltas));
-      }
-
-      pending.push_back(std::move(p));
-      ++summary.requests;
-      while (pending.size() > window) {
-        emit(pending.front());
-        pending.pop_front();
-      }
+    std::string line;
+    while (read_record_line(in, line)) feed_line(parser, line, submit);
+    if (std::optional<ServeRequest> last = parser.finish()) {
+      submit(std::move(*last));
     }
   } catch (const CheckError& e) {
     summary.stream_error = true;
@@ -151,43 +194,11 @@ StreamServerSummary StreamServer::serve(std::istream& in, std::ostream& out) {
   }
   for (Pending& p : pending) emit(p);
 
-  summary.wall_seconds = wall.seconds();
-  summary.scenarios_per_second =
-      summary.wall_seconds > 0.0
-          ? static_cast<double>(summary.requests) / summary.wall_seconds
-          : 0.0;
+  summary.set_wall_seconds(wall.seconds());
   summary.dispatcher = dispatcher.stats();
   summary.cache = cache.stats();
-
-  const SolverLatencyStats& solver = summary.dispatcher.per_solver[0];
-  const double solves = static_cast<double>(
-      solver.solves > 0 ? solver.solves : 1);
-  out << "# serve: " << summary.requests << " requests in "
-      << summary.wall_seconds << " s (" << summary.scenarios_per_second
-      << " scenarios/s, " << dispatcher.threads() << " threads, queue "
-      << window << ")\n"
-      << "# serve: ok=" << summary.ok << " infeasible=" << summary.infeasible
-      << " errors=" << summary.errors
-      << " over_budget=" << summary.over_budget << "\n"
-      << "# cache: capacity=" << summary.cache.capacity
-      << " size=" << summary.cache.size << " hits=" << summary.cache.hits
-      << " misses=" << summary.cache.misses
-      << " evictions=" << summary.cache.evictions << "\n"
-      << "# solver " << solver.algo << ": solves=" << solver.solves
-      << " warm=" << solver.warm
-      << " session_bytes=" << summary.cache.session_bytes
-      << " session_budget="
-      << (config_.session_max_bytes != 0
-              ? std::to_string(config_.session_max_bytes)
-              : std::string("unbounded"))
-      << " dropped_snapshots=" << summary.cache.session_snapshots_dropped
-      << " dropped_tables=" << summary.cache.session_tables_dropped
-      << " cells_skipped=" << summary.cache.session_cells_skipped
-      << " errors=" << solver.errors
-      << " mean_queue_s=" << solver.total_queue_seconds / solves
-      << " mean_solve_s=" << solver.total_solve_seconds / solves
-      << " max_solve_s=" << solver.max_solve_seconds
-      << " work=" << solver.total_work << "\n";
+  summary.print_serve_lines(out, dispatcher.threads(), window);
+  summary.print_cache_lines(out, config_.session_max_bytes);
   if (summary.stream_error) {
     out << "# serve: stream error: " << summary.stream_error_message << "\n";
   }

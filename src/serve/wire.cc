@@ -1,12 +1,11 @@
 #include "serve/wire.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "support/check.h"
-#include "tree/io.h"
 
 namespace treeplace::serve {
 
@@ -88,113 +87,6 @@ void OutputBuffer::consume(std::size_t n) {
 
 namespace {
 
-/// Cursor-based tokenizer matching istringstream extraction: skip blanks,
-/// parse signed/unsigned integers in place, no allocation.
-struct Cursor {
-  const char* p;
-  const char* end;
-
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t')) ++p;
-  }
-  bool at_end() {
-    skip_ws();
-    return p == end;
-  }
-
-  template <typename T>
-  bool parse_int(T& out) {
-    skip_ws();
-    const char* start = p;
-    if (start < end && *start == '+') ++start;  // istreams accept a leading +
-    const auto [next, ec] = std::from_chars(start, end, out);
-    if (ec != std::errc{}) return false;
-    p = next;
-    return true;
-  }
-};
-
-/// Parses one delta line with the exact acceptance rules of
-/// request_stream.cc's parse_delta_line (tag = first non-blank char, ints
-/// follow, no trailing garbage).
-ScenarioDelta parse_delta(std::string_view line) {
-  Cursor c{line.data(), line.data() + line.size()};
-  c.skip_ws();
-  TREEPLACE_CHECK_MSG(c.p < c.end, "malformed delta line: '" << line << "'");
-  const char tag = *c.p++;
-  ScenarioDelta delta;
-  switch (tag) {
-    case 'R':
-      delta.op = ScenarioDelta::Op::kSetRequests;
-      TREEPLACE_CHECK_MSG(
-          c.parse_int(delta.node) && c.parse_int(delta.requests),
-          "malformed R delta: '" << line << "'");
-      break;
-    case 'E':
-      delta.op = ScenarioDelta::Op::kSetPreExisting;
-      TREEPLACE_CHECK_MSG(c.parse_int(delta.node),
-                          "malformed E delta: '" << line << "'");
-      if (!c.at_end()) {
-        TREEPLACE_CHECK_MSG(c.parse_int(delta.mode),
-                            "malformed E delta: '" << line << "'");
-      }
-      break;
-    case 'X':
-      delta.op = ScenarioDelta::Op::kClearPreExisting;
-      TREEPLACE_CHECK_MSG(c.parse_int(delta.node),
-                          "malformed X delta: '" << line << "'");
-      break;
-    case 'Z':
-      delta.op = ScenarioDelta::Op::kClearAllPre;
-      break;
-    default:
-      TREEPLACE_CHECK_MSG(false, "unknown delta tag '" << tag << "' in '"
-                                                       << line << "'");
-  }
-  TREEPLACE_CHECK_MSG(c.at_end(),
-                      "trailing garbage in delta line: '" << line << "'");
-  return delta;
-}
-
-/// Parses one tree node line with io.cc's parse_node_line semantics
-/// (consecutive ids enforced; trailing tokens tolerated, as there).
-void parse_node(TreeBuilder& builder, std::string_view line,
-                NodeId expected_id) {
-  Cursor c{line.data(), line.data() + line.size()};
-  c.skip_ws();
-  TREEPLACE_CHECK_MSG(c.p < c.end, "malformed tree line: '" << line << "'");
-  const char tag = *c.p++;
-  NodeId id = kNoNode;
-  NodeId parent = kNoNode;
-  TREEPLACE_CHECK_MSG(c.parse_int(id) && c.parse_int(parent),
-                      "malformed tree line: '" << line << "'");
-  TREEPLACE_CHECK_MSG(id == expected_id,
-                      "node ids must be consecutive; expected "
-                          << expected_id << ", got " << id);
-  if (tag == 'I') {
-    int pre = 0;
-    int orig_mode = -1;
-    TREEPLACE_CHECK_MSG(c.parse_int(pre) && c.parse_int(orig_mode),
-                        "malformed internal line: '" << line << "'");
-    const NodeId got =
-        (parent == kNoNode) ? builder.add_root() : builder.add_internal(parent);
-    TREEPLACE_CHECK(got == id);
-    if (pre != 0) builder.set_pre_existing(id, orig_mode < 0 ? 0 : orig_mode);
-  } else if (tag == 'C') {
-    RequestCount requests = 0;
-    TREEPLACE_CHECK_MSG(c.parse_int(requests),
-                        "malformed client line: '" << line << "'");
-    const NodeId got = builder.add_client(parent, requests);
-    TREEPLACE_CHECK(got == id);
-  } else {
-    TREEPLACE_CHECK_MSG(false, "unknown node tag '" << tag << "'");
-  }
-}
-
-bool is_record_header(std::string_view line) {
-  return line.rfind("treeplace-", 0) == 0;
-}
-
 std::string_view next_token(std::string_view& rest) {
   std::size_t i = 0;
   while (i < rest.size() && (rest[i] == ' ' || rest[i] == '\t')) ++i;
@@ -207,17 +99,46 @@ std::string_view next_token(std::string_view& rest) {
 
 }  // namespace
 
-ServeRequest RecordParser::complete() {
-  if (state_ == State::kTree) {
-    current_.tree = std::move(builder_).build();  // may throw: count after
-    builder_ = TreeBuilder{};
-    ++trees_;
-    current_.topology_key = std::to_string(trees_);
+bool is_hello_line(std::string_view line) {
+  constexpr std::string_view kHello = "treeplace-hello";
+  if (!line.starts_with(kHello)) return false;
+  // Token-exact: "treeplace-helloX" is an unknown record, not a hello.
+  return line.size() == kHello.size() || line[kHello.size()] == ' ' ||
+         line[kHello.size()] == '\t';
+}
+
+HelloInfo parse_hello_line(std::string_view line) {
+  std::string_view rest = line;
+  const std::string_view kind = next_token(rest);
+  HelloInfo hello;
+  hello.version = next_token(rest);
+  TREEPLACE_CHECK_MSG(kind == "treeplace-hello" && hello.version == "v1",
+                      "unsupported hello record: '" << line << "'");
+  for (std::string_view token = next_token(rest); !token.empty();
+       token = next_token(rest)) {
+    if (token.starts_with("name=")) {
+      TREEPLACE_CHECK_MSG(hello.name.empty(),
+                          "duplicate name= in hello: '" << line << "'");
+      hello.name = token.substr(5);
+      TREEPLACE_CHECK_MSG(!hello.name.empty(),
+                          "empty name= in hello: '" << line << "'");
+    } else {
+      hello.features.emplace_back(token);  // unknown features are fine
+    }
   }
-  state_ = State::kIdle;
-  current_.id = ++requests_;
-  ServeRequest done = std::move(current_);
-  current_ = ServeRequest{};
+  return hello;
+}
+
+std::string_view hello_reply() { return "# hello: treeplace v1\n"; }
+
+ServeRequest RecordParser::complete() {
+  ServeRequest done = std::exchange(current_, ServeRequest{});
+  if (std::exchange(state_, State::kIdle) == State::kTree) {
+    // May throw; the parser is already idle, and only successes count.
+    done.tree = std::exchange(builder_, TreeBuilder{}).build();
+    done.topology_key = std::to_string(++trees_);
+  }
+  done.id = ++requests_;
   return done;
 }
 
@@ -240,42 +161,48 @@ std::optional<ServeRequest> RecordParser::feed(std::string_view line) {
     return request;
   }
 
-  if (is_record_header(line)) {
-    std::optional<ServeRequest> completed;
-    if (state_ != State::kIdle) completed = complete();
-
-    if (line == TreeStreamReader::tree_header()) {
-      state_ = State::kTree;
-      next_node_id_ = 0;
-    } else {
-      // Token-exact matching, as in RequestStreamReader: "v12" is an
-      // unknown record, not v1 with a mangled key.
+  if (line.starts_with("treeplace-")) {
+    // Parse the header before completing the record it ends, so a bad
+    // header leaves that record to finish().  Token-exact matching: "v12"
+    // is an unknown record, not v1 with a mangled key.
+    const bool tree = line == TreeStreamReader::tree_header();
+    std::string_view key;
+    if (!tree) {
       std::string_view rest = line;
       const std::string_view kind = next_token(rest);
       const std::string_view version = next_token(rest);
       TREEPLACE_CHECK_MSG(kind == "treeplace-scenario" && version == "v1",
                           "unknown record header: '" << line << "'");
-      const std::string_view key = next_token(rest);
+      key = next_token(rest);
       TREEPLACE_CHECK_MSG(!key.empty(),
                           "scenario record without a topology key: '"
                               << line << "'");
-      state_ = State::kScenario;
-      current_.topology_key.assign(key);
     }
+    std::optional<ServeRequest> completed;
+    if (state_ != State::kIdle) completed = complete();
+    state_ = tree ? State::kTree : State::kScenario;
+    current_.topology_key.assign(key);
     return completed;
   }
 
-  switch (state_) {
-    case State::kIdle:
-      TREEPLACE_CHECK_MSG(false, "bad record header: '" << line << "'");
-      break;
-    case State::kTree:
-      parse_node(builder_, line, next_node_id_);
-      ++next_node_id_;
-      break;
-    case State::kScenario:
-      current_.deltas.push_back(parse_delta(line));
-      break;
+  try {
+    switch (state_) {
+      case State::kIdle:
+        TREEPLACE_CHECK_MSG(false, "bad record header: '" << line << "'");
+        break;
+      case State::kTree:
+        parse_node_line(builder_, line);
+        break;
+      case State::kScenario:
+        current_.deltas.push_back(parse_delta_line(line));
+        break;
+    }
+  } catch (const CheckError&) {
+    // A bad body line drops the record it belongs to.
+    state_ = State::kIdle;
+    builder_ = TreeBuilder{};
+    current_ = ServeRequest{};
+    throw;
   }
   return std::nullopt;
 }

@@ -1,31 +1,61 @@
-// Zero-copy wire framing for the network serving front-end.
+// The serve stream grammar and its zero-copy wire framing.
 //
-// The TCP server (serve/net_server.h) speaks the exact line-record protocol
-// of the stream server — `treeplace-*` records in, `result ...` lines out —
-// but over thousands of non-blocking sockets, so parsing must be
-// *incremental*: bytes arrive in arbitrary fragments and no reader thread
-// can block on an istream.  This header owns the three framing pieces:
+// Both serving modes — the blocking stdin loop (serve/stream_server.h) and
+// the TCP front-end (serve/net_server.h) — speak one line-record protocol,
+// `treeplace-*` records in, `result ...` lines out, and parse it with the
+// one RecordParser below.  A stream is a concatenation of record kinds:
+//
+//   treeplace-tree v1            the format of tree/io.h.  Registers the
+//   I 0 -1 0 -1                  tree's topology in the serving cache under
+//   C 1 0 5                      its ordinal key ("1" for the first tree in
+//   ...                          the stream, "2" for the second, ...) and
+//                                requests a solve of its base scenario.
+//
+//   treeplace-scenario v1 <key>  a scenario-delta request against the
+//   R <client-id> <requests>     cached topology <key>: fork its base
+//   E <node-id> [<orig-mode>]    scenario, apply the delta lines in order,
+//   X <node-id>                  solve the result.  R sets one client's
+//   Z                            request volume, E marks a pre-existing
+//                                server (default original mode 0), X clears
+//                                one, Z clears the whole pre-existing set.
+//
+//   treeplace-hello v1 [name=<token>] [feature ...]
+//                                the optional version/feature handshake: a
+//                                header with no body, valid only as the
+//                                very first record.  The server replies
+//                                `# hello: treeplace v1` before any result.
+//                                `name=` gives the client a stable identity:
+//                                the TCP front-end namespaces its topology
+//                                keys by the name's hash instead of the
+//                                connection uid, which makes its warm
+//                                sessions routable (shard affinity) and
+//                                persistent.  Unknown features are ignored.
+//
+// Blank lines and `#` comments are skipped anywhere.  The parser only
+// parses; resolving keys against the cache is bind_request()'s job
+// (serve/stream_server.h), so bad references surface as per-request error
+// records rather than parser throws.
+//
+// The framing pieces, built for non-blocking sockets where bytes arrive in
+// arbitrary fragments:
 //
 //   * LineBuffer — an append-only byte window sockets read() straight into
 //     (writable()/commit()); next_line() yields complete lines as
 //     string_views over the buffer, no copy, trailing CR stripped (CRLF
 //     clients are accepted everywhere), with an oversized-line guard so a
 //     hostile peer cannot balloon memory with an unterminated line.
-//   * RecordParser — the incremental twin of serve/request_stream.h's
-//     RequestStreamReader: fed one line at a time it assembles the same
-//     ServeRequests with the same ordinal topology keys and the same
-//     CheckErrors on malformed input.  A record is completed by the next
-//     record header or by end-of-input (finish()), exactly as in stream
-//     mode; number parsing runs on std::from_chars so the per-line hot
-//     path performs no stream or string allocation.
+//   * RecordParser — fed one line at a time, it assembles ServeRequests.
+//     A record is completed by the next record header or by end-of-input
+//     (finish()); the line grammars are tree/io.h's parse_node_line() and
+//     parse_delta_line().
 //   * OutputBuffer — pending result bytes per connection, consumed as the
 //     socket accepts writes.
 //
-// Rendering also lives here: render_result() produces the byte-identical
-// `result ...` line the StreamServer emits (both servers call it), which is
-// what makes `bench/connection_churn`'s bit-identity gate possible.  The
-// only per-run bytes are the queue_s=/solve_s= timing fields;
-// strip_timings() removes them for comparisons.
+// Rendering also lives here: render_result() produces the `result ...`
+// line both servers emit, which is what makes `bench/connection_churn`'s
+// bit-identity gate possible.  The only per-run bytes are the
+// queue_s=/solve_s= timing fields; strip_timings() removes them for
+// comparisons.
 #pragma once
 
 #include <array>
@@ -35,11 +65,49 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "serve/dispatcher.h"
-#include "serve/request_stream.h"
+#include "support/check.h"
+#include "tree/io.h"
 
 namespace treeplace::serve {
+
+/// One edit applied to a forked base scenario, in record order (the type
+/// lives with the Scenario it edits, tree/scenario_delta.h).
+using treeplace::ScenarioDelta;
+
+/// The parsed `treeplace-hello v1 ...` handshake record.
+struct HelloInfo {
+  std::string version;                 ///< the "v1" token
+  std::string name;                    ///< from name=<token>; empty = anon
+  std::vector<std::string> features;   ///< remaining tokens, order kept
+};
+
+/// One request from the stream: a solve (full tree, or deltas against a
+/// previously registered topology) or — only as the first record — the
+/// hello handshake.  Hello requests carry id 0 and do not consume a
+/// request ordinal, so solve ids match a stream without the handshake.
+struct ServeRequest {
+  std::size_t id = 0;        ///< 1-based request ordinal in the stream
+  std::string topology_key;  ///< ordinal key ("1", "2", ...) or reference
+  std::optional<Tree> tree;  ///< set for tree records
+  std::vector<ScenarioDelta> deltas;  ///< set for scenario records
+  std::optional<HelloInfo> hello;     ///< set for the handshake record
+};
+
+/// True when `line` is a hello record header (first token matches).
+bool is_hello_line(std::string_view line);
+
+/// Parses a hello header line; throws CheckError on a bad version or a
+/// malformed name token.  RecordParser enforces the first-record placement.
+HelloInfo parse_hello_line(std::string_view line);
+
+/// The comment line every server writes in response to a hello record,
+/// identical in stream and net mode (it is a `#` line, so it never
+/// perturbs result parsing or bit-identity comparisons).
+std::string_view hello_reply();
 
 // ---------------------------------------------------------------------------
 // LineBuffer
@@ -49,7 +117,7 @@ namespace treeplace::serve {
 /// requested, so steady-state serving reuses one allocation per connection.
 class LineBuffer {
  public:
-  static constexpr std::size_t kDefaultMaxLineBytes = 1 << 20;
+  static constexpr std::size_t kDefaultMaxLineBytes = kMaxLineBytes;
 
   explicit LineBuffer(std::size_t max_line_bytes = kDefaultMaxLineBytes)
       : max_line_bytes_(max_line_bytes) {}
@@ -108,25 +176,30 @@ class OutputBuffer {
 // ---------------------------------------------------------------------------
 // RecordParser
 
-/// Incremental record assembly: feed complete lines, collect ServeRequests.
-/// Semantics mirror RequestStreamReader line for line — ordinal tree keys,
-/// optional E-delta modes, token-exact header matching, CheckError on
-/// malformed input (a per-connection protocol error on the wire).
+/// Incremental record assembly: feed complete lines, collect ServeRequests
+/// with ordinal tree keys, optional E-delta modes and token-exact header
+/// matching.  Malformed input throws CheckError (a stream error on stdin,
+/// a per-connection protocol error on the wire).
+///
+/// Errors lose no completed record.  When feed() throws, the record the
+/// bad line belongs to is dropped, but a header line that fails to parse
+/// still ends the record before it: finish() then completes that record,
+/// so callers serve it before reporting the error.
 class RecordParser {
  public:
   /// Feeds one framed line (no terminator).  Returns the record this line
   /// *completed* — i.e. when `line` is the header starting the next record.
-  /// Blank and comment lines are skipped anywhere, as in stream mode.
+  /// Blank and comment lines are skipped anywhere.
   std::optional<ServeRequest> feed(std::string_view line);
 
-  /// End of input: completes the in-progress record, if any.  The wire
-  /// contract matches the stream reader's: a client that half-closes its
-  /// write side terminates its final record.
+  /// End of input: completes the in-progress record, if any.  A client
+  /// that half-closes its write side terminates its final record, exactly
+  /// as EOF does on stdin.
   std::optional<ServeRequest> finish();
 
   /// True while a record is being assembled (EOF here is mid-record only
   /// if the line itself was also truncated; line-aligned EOF ends the
-  /// record, exactly as in stream mode).
+  /// record).
   bool in_record() const { return state_ != State::kIdle; }
 
   std::size_t requests_read() const { return requests_; }
@@ -139,12 +212,30 @@ class RecordParser {
 
   State state_ = State::kIdle;
   TreeBuilder builder_;
-  NodeId next_node_id_ = 0;
   ServeRequest current_;
   std::size_t requests_ = 0;
   std::size_t trees_ = 0;
   bool hello_seen_ = false;
 };
+
+/// Feeds one line to `parser` and hands the record it completes, if any,
+/// to `sink`.  On a malformed line the record a bad header ends reaches
+/// `sink` first (finish(), see RecordParser), then the CheckError
+/// propagates — so a serving loop serves every record completed before
+/// the bad line, whatever the input's segmentation.
+template <typename Sink>
+void feed_line(RecordParser& parser, std::string_view line, Sink&& sink) {
+  std::optional<ServeRequest> request;
+  try {
+    request = parser.feed(line);
+  } catch (const CheckError&) {
+    if (std::optional<ServeRequest> closed = parser.finish()) {
+      sink(std::move(*closed));
+    }
+    throw;
+  }
+  if (request) sink(std::move(*request));
+}
 
 // ---------------------------------------------------------------------------
 // Result rendering (shared by StreamServer and NetServer)
@@ -164,8 +255,7 @@ struct RenderedResult {
   double solve_seconds = 0.0;
 };
 
-/// Renders one result record byte-identically to the stream server's
-/// historical format (it now calls this too).
+/// Renders one `result ...` record, the same bytes in every serving mode.
 RenderedResult render_result(std::size_t id, const std::string& topo_key,
                              const ServeResult& result,
                              const ResultFormat& format);

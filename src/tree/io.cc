@@ -1,5 +1,6 @@
 #include "tree/io.h"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -10,49 +11,77 @@ namespace {
 
 constexpr const char* kHeader = "treeplace-tree v1";
 
-/// Guard against unterminated-garbage input (a binary file, a hostile
-/// network peer relayed to a file): one line this long is never a valid
-/// record line.  Matches serve/wire.h's LineBuffer default.
-constexpr std::size_t kMaxLineBytes = 1 << 20;
+/// Cursor over one line: blank-separated tokens, integers parsed in place
+/// by std::from_chars (no stream, no allocation).
+struct Cursor {
+  const char* p;
+  const char* end;
 
-/// getline() keeps the '\r' of CRLF line endings; strip it so streams
-/// written on Windows (or piped through tools that add CRLF) parse
-/// identically — in particular, header matching is token-exact.
-void sanitize_line(std::string& line) {
+  explicit Cursor(std::string_view line)
+      : p(line.data()), end(line.data() + line.size()) {}
+
+  void skip_ws() {
+    while (p < end && (*p == ' ' || *p == '\t')) ++p;
+  }
+  bool at_end() {
+    skip_ws();
+    return p == end;
+  }
+  /// The first non-blank character (a line's tag), or 0 at end of line.
+  char tag() { return at_end() ? 0 : *p++; }
+
+  template <typename T>
+  bool parse_int(T& out) {
+    skip_ws();
+    const char* start = p;
+    // A leading '+' is accepted, as istream extraction does ("+-5" is not).
+    if (start + 1 < end && *start == '+' && start[1] != '-') ++start;
+    const auto [next, ec] = std::from_chars(start, end, out);
+    if (ec != std::errc{}) return false;
+    p = next;
+    return true;
+  }
+};
+
+}  // namespace
+
+bool read_record_line(std::istream& is, std::string& line) {
+  if (!std::getline(is, line)) return false;
   TREEPLACE_CHECK_MSG(line.size() <= kMaxLineBytes,
                       "oversized line: " << line.size() << " bytes (limit "
                                          << kMaxLineBytes << ")");
+  // getline() keeps the '\r' of CRLF line endings; strip it so streams
+  // written on Windows (or piped through tools that add CRLF) parse
+  // identically — in particular, header matching is token-exact.
   if (!line.empty() && line.back() == '\r') line.pop_back();
+  return true;
 }
 
-/// Parses one `I ...` / `C ...` node line into `builder`, enforcing
-/// consecutive ids.
-void parse_node_line(TreeBuilder& builder, const std::string& line,
-                     NodeId expected_id) {
-  std::istringstream ls(line);
-  char tag = 0;
+void parse_node_line(TreeBuilder& builder, std::string_view line) {
+  Cursor c(line);
+  const char tag = c.tag();
+  TREEPLACE_CHECK_MSG(tag != 0, "malformed tree line: '" << line << "'");
+  const auto expected_id = static_cast<NodeId>(builder.num_nodes());
   NodeId id = kNoNode;
   NodeId parent = kNoNode;
-  ls >> tag >> id >> parent;
-  TREEPLACE_CHECK_MSG(!ls.fail(), "malformed tree line: '" << line << "'");
+  TREEPLACE_CHECK_MSG(c.parse_int(id) && c.parse_int(parent),
+                      "malformed tree line: '" << line << "'");
   TREEPLACE_CHECK_MSG(id == expected_id,
                       "node ids must be consecutive; expected "
                           << expected_id << ", got " << id);
   if (tag == 'I') {
     int pre = 0;
     int orig_mode = -1;
-    ls >> pre >> orig_mode;
-    TREEPLACE_CHECK_MSG(!ls.fail(), "malformed internal line: '" << line
-                                                                 << "'");
+    TREEPLACE_CHECK_MSG(c.parse_int(pre) && c.parse_int(orig_mode),
+                        "malformed internal line: '" << line << "'");
     const NodeId got =
         (parent == kNoNode) ? builder.add_root() : builder.add_internal(parent);
     TREEPLACE_CHECK(got == id);
     if (pre != 0) builder.set_pre_existing(id, orig_mode < 0 ? 0 : orig_mode);
   } else if (tag == 'C') {
     RequestCount requests = 0;
-    ls >> requests;
-    TREEPLACE_CHECK_MSG(!ls.fail(), "malformed client line: '" << line
-                                                               << "'");
+    TREEPLACE_CHECK_MSG(c.parse_int(requests),
+                        "malformed client line: '" << line << "'");
     const NodeId got = builder.add_client(parent, requests);
     TREEPLACE_CHECK(got == id);
   } else {
@@ -60,7 +89,45 @@ void parse_node_line(TreeBuilder& builder, const std::string& line,
   }
 }
 
-}  // namespace
+ScenarioDelta parse_delta_line(std::string_view line) {
+  Cursor c(line);
+  const char tag = c.tag();
+  TREEPLACE_CHECK_MSG(tag != 0, "malformed delta line: '" << line << "'");
+  ScenarioDelta delta;
+  switch (tag) {
+    case 'R':
+      delta.op = ScenarioDelta::Op::kSetRequests;
+      TREEPLACE_CHECK_MSG(
+          c.parse_int(delta.node) && c.parse_int(delta.requests),
+          "malformed R delta: '" << line << "'");
+      break;
+    case 'E':
+      delta.op = ScenarioDelta::Op::kSetPreExisting;
+      TREEPLACE_CHECK_MSG(c.parse_int(delta.node),
+                          "malformed E delta: '" << line << "'");
+      // The mode is optional, but only when actually absent — an
+      // unparsable token is an error, not a default.
+      if (!c.at_end()) {
+        TREEPLACE_CHECK_MSG(c.parse_int(delta.mode),
+                            "malformed E delta: '" << line << "'");
+      }
+      break;
+    case 'X':
+      delta.op = ScenarioDelta::Op::kClearPreExisting;
+      TREEPLACE_CHECK_MSG(c.parse_int(delta.node),
+                          "malformed X delta: '" << line << "'");
+      break;
+    case 'Z':
+      delta.op = ScenarioDelta::Op::kClearAllPre;
+      break;
+    default:
+      TREEPLACE_CHECK_MSG(false, "unknown delta tag '" << tag << "' in '"
+                                                       << line << "'");
+  }
+  TREEPLACE_CHECK_MSG(c.at_end(),
+                      "trailing garbage in delta line: '" << line << "'");
+  return delta;
+}
 
 void serialize_tree(const Tree& tree, std::ostream& os) {
   os << kHeader << '\n';
@@ -84,21 +151,12 @@ std::string serialize_tree(const Tree& tree) {
 }
 
 Tree parse_tree(std::istream& is) {
-  std::string header;
-  std::getline(is, header);
-  sanitize_line(header);
-  TREEPLACE_CHECK_MSG(header == kHeader,
-                      "bad tree header: '" << header << "'");
-  TreeBuilder builder;
-  std::string line;
-  NodeId expected_id = 0;
-  while (std::getline(is, line)) {
-    sanitize_line(line);
-    if (line.empty() || line[0] == '#') continue;
-    parse_node_line(builder, line, expected_id);
-    ++expected_id;
-  }
-  return std::move(builder).build();
+  TreeStreamReader reader(is);
+  std::optional<Tree> tree = reader.next();
+  TREEPLACE_CHECK_MSG(tree.has_value(), "no tree record in the input");
+  TREEPLACE_CHECK_MSG(!reader.next().has_value(),
+                      "more than one tree record in the input");
+  return std::move(*tree);
 }
 
 Tree parse_tree(const std::string& text) {
@@ -112,66 +170,33 @@ bool TreeStreamReader::read_line(std::string& line) {
     has_pending_ = false;
     return true;
   }
-  if (!std::getline(is_, line)) return false;
-  sanitize_line(line);
-  return true;
-}
-
-bool TreeStreamReader::is_record_header(const std::string& line) {
-  return line.rfind("treeplace-", 0) == 0;
+  return read_record_line(is_, line);
 }
 
 const char* TreeStreamReader::tree_header() { return kHeader; }
 
-std::optional<std::string> TreeStreamReader::next_header() {
-  // Skip blank and comment lines up to the next header.
+std::optional<Tree> TreeStreamReader::next() {
   std::string line;
-  for (;;) {
+  do {
     if (!read_line(line)) return std::nullopt;
-    if (line.empty() || line[0] == '#') continue;
-    break;
-  }
-  TREEPLACE_CHECK_MSG(is_record_header(line),
-                      "bad record header: '" << line << "'");
-  return line;
-}
-
-bool TreeStreamReader::next_body_line(std::string& line) {
+  } while (line.empty() || line[0] == '#');
+  TREEPLACE_CHECK_MSG(line == kHeader, "bad tree header: '" << line << "'");
+  TreeBuilder builder;
   while (read_line(line)) {
-    if (is_record_header(line)) {
-      // The next record starts here; hand the header back for the next
-      // next_header()/next() call.
+    if (line.rfind("treeplace-", 0) == 0) {
+      // The next record starts here; keep its header for the next call.
       pending_ = std::move(line);
       has_pending_ = true;
-      return false;
+      break;
     }
     // Interior blank and comment lines are permitted exactly as in
     // parse_tree(); only a new header terminates a record.
     if (line.empty() || line[0] == '#') continue;
-    return true;
-  }
-  return false;
-}
-
-Tree TreeStreamReader::read_tree_body() {
-  TreeBuilder builder;
-  NodeId expected_id = 0;
-  std::string line;
-  while (next_body_line(line)) {
-    parse_node_line(builder, line, expected_id);
-    ++expected_id;
+    parse_node_line(builder, line);
   }
   Tree tree = std::move(builder).build();  // may throw: count only successes
   ++trees_read_;
   return tree;
-}
-
-std::optional<Tree> TreeStreamReader::next() {
-  const std::optional<std::string> header = next_header();
-  if (!header) return std::nullopt;
-  TREEPLACE_CHECK_MSG(*header == kHeader,
-                      "bad tree header: '" << *header << "'");
-  return read_tree_body();
 }
 
 std::string to_dot(const Tree& tree) {

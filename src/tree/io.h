@@ -12,12 +12,17 @@
 // one (blank and comment lines are skipped anywhere, exactly as in
 // parse()).  TreeStreamReader yields trees one at a time — the
 // batch-serving path of `treeplace solve`.
+// The serve record parser (serve/wire.h) shares this file's line grammars:
+// parse_node_line() for tree bodies, parse_delta_line() for deltas.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
+#include "tree/scenario_delta.h"
 #include "tree/tree.h"
 
 namespace treeplace {
@@ -26,20 +31,38 @@ namespace treeplace {
 void serialize_tree(const Tree& tree, std::ostream& os);
 std::string serialize_tree(const Tree& tree);
 
-/// Parses exactly one tree occupying the whole stream; throws CheckError on
-/// malformed input.
+/// The longest line a record stream may hold (a binary file or a hostile
+/// peer's unterminated garbage is never a valid record line).
+inline constexpr std::size_t kMaxLineBytes = 1 << 20;
+
+/// Reads one line of a record stream into `line`, stripping the trailing
+/// CR of CRLF endings; false at end of stream.  Throws CheckError on a
+/// line longer than kMaxLineBytes.
+bool read_record_line(std::istream& is, std::string& line);
+
+/// Parses exactly one tree record occupying the whole stream (blank and
+/// comment lines aside); throws CheckError on malformed input.
 Tree parse_tree(std::istream& is);
 Tree parse_tree(const std::string& text);
 
-/// Streaming reader over a concatenation of v1 records.  Works on
+/// Parses one `I ...` / `C ...` node line into `builder`; its id must be
+/// the builder's next one (builder.num_nodes()).  Numbers parse with
+/// std::from_chars: a leading '+' is accepted, a negative request count is
+/// not, and tokens after the last field are ignored.  Throws CheckError on
+/// a malformed line.
+void parse_node_line(TreeBuilder& builder, std::string_view line);
+
+/// Parses one scenario-delta line: `R <client> <requests>`,
+/// `E <node> [<orig-mode>]` (mode 0 when absent), `X <node>` or `Z`.  The
+/// tag is the first non-blank character; trailing tokens are an error.
+/// Throws CheckError on a malformed line.
+ScenarioDelta parse_delta_line(std::string_view line);
+
+/// Streaming reader over a concatenation of v1 tree records.  Works on
 /// non-seekable streams (pipes, stdin): a header line that terminates one
-/// record is buffered and re-consumed as the start of the next.
-///
-/// Besides plain tree concatenations (next()), the reader splits *mixed*
-/// record streams: any "treeplace-" header line is a record boundary, so
-/// layered formats — the serving loop's scenario-delta records
-/// (serve/request_stream.h) — iterate records with next_header() /
-/// next_body_line() and delegate tree bodies to read_tree_body().
+/// record is buffered and re-consumed as the start of the next.  Any
+/// "treeplace-" line ends a tree body; one that is not a tree header is
+/// then rejected by the following next().
 class TreeStreamReader {
  public:
   explicit TreeStreamReader(std::istream& is) : is_(is) {}
@@ -48,26 +71,8 @@ class TreeStreamReader {
   /// malformed input (including non-tree record headers).
   std::optional<Tree> next();
 
-  /// True for any record header line ("treeplace-<kind> v<n>[ args]").
-  static bool is_record_header(const std::string& line);
-
   /// The tree record header ("treeplace-tree v1").
   static const char* tree_header();
-
-  /// Consumes and returns the next record header line, skipping blank and
-  /// comment lines; nullopt at end of stream.  Throws CheckError when the
-  /// next significant line is not a record header.
-  std::optional<std::string> next_header();
-
-  /// Reads the next body line of the current record into `line`; false at
-  /// the next record header (which stays pending for the following
-  /// next_header()/next() call) or end of stream.  Blank and comment lines
-  /// are skipped.
-  bool next_body_line(std::string& line);
-
-  /// Parses the body of a tree record whose header was just consumed by
-  /// next_header().  Throws CheckError on malformed node lines.
-  Tree read_tree_body();
 
   /// Number of trees successfully returned so far.
   std::size_t trees_read() const { return trees_read_; }

@@ -3,8 +3,8 @@
 //
 // ScenarioDelta started life inside the serve layer's request parser, but
 // the core solvers now consume delta spans too (SolveRequest::deltas),
-// so the type lives with the Scenario it edits; serve/request_stream.h
-// re-exports it under its old name for stream code.  A delta names the
+// so the type lives with the Scenario it edits; serve/wire.h re-exports it
+// for stream code, and tree/io.h parses its text form.  A delta names the
 // *operation*, not its effect: apply_delta() is the one place the four
 // operations are interpreted, shared by the stream server, the experiment
 // drivers and the tests, so everyone agrees on semantics (and on which

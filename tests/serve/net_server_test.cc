@@ -105,12 +105,17 @@ void send_all(int fd, const std::string& bytes) {
   }
 }
 
-std::string recv_to_eof(int fd) {
+/// Reads until the server closes; `clean` (when given) reports whether it
+/// closed with a FIN rather than a reset.
+std::string recv_to_eof(int fd, bool* clean = nullptr) {
   std::string out;
   char buf[4096];
   for (;;) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
+    if (n <= 0) {
+      if (clean != nullptr) *clean = n == 0;
+      break;
+    }
     out.append(buf, static_cast<std::size_t>(n));
   }
   return out;
@@ -324,6 +329,49 @@ TEST(NetServerTest, ProtocolErrorFailsThatConnectionOnly) {
   const NetServerSummary summary = running.stop();
   EXPECT_EQ(summary.protocol_errors, 1u);
   EXPECT_EQ(summary.ok, 4u);
+}
+
+TEST(NetServerTest, MalformedRecordKeepsEarlierResultsAnySegmentation) {
+  // A bad header ends the record before it; a bad delta line drops only
+  // its own record.  Either way every earlier record is served exactly as
+  // StreamServer serves it, then the protocol error note follows — whether
+  // the bad line arrives in the same segment as the good ones or not, and
+  // although the client keeps sending after it.
+  const std::string more = "treeplace-scenario v1 1\nR 3 7\n";
+  for (const std::string& bad : {"treeplace-frobnicate v1\n" + more,
+                                 "treeplace-scenario v1 1\nQ 1\n" + more}) {
+    const std::string stream = make_stream() + bad;
+    const std::string reference = stream_reference(stream);
+    ASSERT_EQ(result_lines(reference).size(), 4u) << bad;
+    for (const bool byte_by_byte : {false, true}) {
+      RunningServer running(net_config(2, 8));
+      const int fd = connect_loopback(running.port());
+      if (byte_by_byte) {
+        int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+        for (const char c : stream) send_all(fd, std::string(1, c));
+      } else {
+        send_all(fd, stream);
+      }
+      ::shutdown(fd, SHUT_WR);
+      bool clean = false;
+      const std::string received = strip_timings(recv_to_eof(fd, &clean));
+      ::close(fd);
+      // The server drains the bytes sent after the bad line before it
+      // closes: closing on unread input would reset the connection and
+      // could discard results still queued for the client.
+      EXPECT_TRUE(clean) << bad;
+
+      const std::size_t note = received.find("# protocol error: ");
+      ASSERT_NE(note, std::string::npos) << bad << received;
+      EXPECT_EQ(received.substr(0, note), reference) << bad;
+      EXPECT_EQ(received.find('\n', note), received.size() - 1) << bad;
+
+      const NetServerSummary summary = running.stop();
+      EXPECT_EQ(summary.protocol_errors, 1u);
+      EXPECT_EQ(summary.ok, 4u);
+    }
+  }
 }
 
 TEST(NetServerTest, PollBackendServesIdentically) {

@@ -167,6 +167,43 @@ TEST(TreeStreamReaderTest, TruncatedNodeLineThrows) {
   EXPECT_THROW(reader.next(), CheckError);
 }
 
+TEST(TreeIoTest, NegativeRequestCountThrows) {
+  // A minus sign on a request count is malformed, not a huge count.
+  const std::string text = "treeplace-tree v1\nI 0 -1 0 -1\nC 1 0 -5\n";
+  EXPECT_THROW(parse_tree(text), CheckError);
+  std::istringstream is(text);
+  TreeStreamReader reader(is);
+  EXPECT_THROW(reader.next(), CheckError);
+}
+
+TEST(TreeIoTest, NodeLineNumberRules) {
+  // A leading '+' is accepted and trailing tokens are ignored, as before;
+  // a sign after the '+' is not a number.
+  const Tree t = parse_tree(
+      "treeplace-tree v1\nI +0 -1 +1 +2 extra\nC 1 0 +4 extra\n");
+  EXPECT_TRUE(t.pre_existing(0));
+  EXPECT_EQ(t.original_mode(0), 2);
+  EXPECT_EQ(t.total_requests(), 4u);
+  EXPECT_THROW(parse_tree("treeplace-tree v1\nI 0 -1 0 -1\nC 1 0 +-4\n"),
+               CheckError);
+}
+
+TEST(TreeIoTest, DeltaLinesParse) {
+  const ScenarioDelta r = parse_delta_line("R 3 7");
+  EXPECT_EQ(r.op, ScenarioDelta::Op::kSetRequests);
+  EXPECT_EQ(r.node, 3);
+  EXPECT_EQ(r.requests, 7u);
+  const ScenarioDelta e = parse_delta_line("\tE 2");
+  EXPECT_EQ(e.op, ScenarioDelta::Op::kSetPreExisting);
+  EXPECT_EQ(e.mode, 0);
+  EXPECT_EQ(parse_delta_line("E 2 1").mode, 1);
+  EXPECT_EQ(parse_delta_line("X 4").op, ScenarioDelta::Op::kClearPreExisting);
+  EXPECT_EQ(parse_delta_line("Z").op, ScenarioDelta::Op::kClearAllPre);
+  for (const char* bad : {"R 3 -5", "R 3", "E x", "X", "Z 1", "Q 1", " "}) {
+    EXPECT_THROW(parse_delta_line(bad), CheckError) << bad;
+  }
+}
+
 TEST(TreeIoTest, DotContainsAllNodesAndEdges) {
   const std::string dot = to_dot(make_tree());
   EXPECT_NE(dot.find("digraph"), std::string::npos);

@@ -10,6 +10,12 @@ three scenario deltas and asserting its bytes are ordered and
 bit-identical (timings stripped) to the stream-mode reference.  Finally
 SIGTERMs the server and asserts a graceful exit with a flushed summary.
 
+Then, on a second server, a malformed-tail connection (the same records
+followed by an unknown record header, sent in one write and again byte
+by byte) must get the stream-mode results for every record before the
+bad line, then a `# protocol error:` note carrying stream mode's error
+message; that server must count both protocol errors and exit 2.
+
 With --shards > 1 the server runs the sharded router and, after the main
 connection sweep, the test SIGUSR1s the server to kill one shard and
 asserts the survivors keep serving bit-identical results (one retry per
@@ -49,6 +55,9 @@ STREAM = (
     + "treeplace-scenario v1 1\nE 2\nX 2\n"
 )
 
+# The same records followed by a record header no parser accepts.
+MALFORMED = STREAM + "treeplace-frobnicate v1\nR 3 7\n"
+
 SERVE_ARGS = ["serve", "--algo", "update-dp", "--modes", "10", "--cache", "64"]
 
 TIMING_TOKEN = re.compile(r"\s+(?:queue_s|solve_s)=\S+")
@@ -61,20 +70,74 @@ def strip_timings(text: str) -> str:
     )
 
 
-def stream_reference(binary: str) -> str:
-    """Result lines StreamServer emits for STREAM, timings stripped."""
+def check_message(line: str) -> str:
+    """An error line's message without the failed check's location."""
+    return line.split(" \u2014 ", 1)[-1]
+
+
+def stream_reference(binary: str, stream: str = STREAM) -> str:
+    """Result lines StreamServer emits for `stream`, timings stripped; a
+    stream error becomes the `# protocol error:` note net mode sends."""
     proc = subprocess.run(
         [binary] + SERVE_ARGS,
-        input=STREAM.encode(),
+        input=stream.encode(),
         stdout=subprocess.PIPE,
-        check=True,
+        stderr=subprocess.DEVNULL,
+        check=stream == STREAM,
     )
-    results = "".join(
-        line + "\n"
-        for line in proc.stdout.decode().splitlines()
-        if line.startswith("result ")
-    )
+    lines = proc.stdout.decode().splitlines()
+    results = "".join(line + "\n" for line in lines if line.startswith("result "))
+    for line in lines:
+        if line.startswith("# serve: stream error: "):
+            results += "# protocol error: " + check_message(line) + "\n"
     return strip_timings(results)
+
+
+def start_server(binary: str, serve_args: list):
+    """Starts `serve --listen`; returns the process and its port (None if
+    the first stdout line does not publish one)."""
+    server = subprocess.Popen([binary] + serve_args, stdout=subprocess.PIPE)
+    # The first stdout line publishes the resolved ephemeral port.
+    line = server.stdout.readline().decode()
+    match = re.match(r"# listen: 127\.0\.0\.1:(\d+)", line)
+    if not match:
+        print("smoke: expected '# listen:' line, got: %r" % line)
+        return server, None
+    return server, int(match.group(1))
+
+
+def malformed_tail(port: int, reference: str, byte_by_byte: bool) -> str:
+    """Sends MALFORMED on one connection; returns a failure or ''."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as s:
+        if byte_by_byte:
+            s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i in range(len(MALFORMED)):
+                s.sendall(MALFORMED[i].encode())
+        else:
+            s.sendall(MALFORMED.encode())
+        s.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = s.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    received = "".join(
+        (
+            "# protocol error: " + check_message(line) + "\n"
+            if line.startswith("# protocol error: ")
+            else line + "\n"
+        )
+        for line in strip_timings(b"".join(chunks).decode()).splitlines()
+    )
+    if received == reference:
+        return ""
+    return "malformed tail (%s) differs from stdin:\n--- got ---\n%s" \
+        "--- want ---\n%s" % (
+            "byte by byte" if byte_by_byte else "one write",
+            received,
+            reference,
+        )
 
 
 def one_connection(
@@ -123,22 +186,19 @@ def main() -> int:
     if "status=ok" not in reference:
         print("smoke: stream-mode reference has no ok results:\n" + reference)
         return 1
+    malformed_reference = stream_reference(args.binary, MALFORMED)
+    if "# protocol error: unknown record header" not in malformed_reference:
+        print("smoke: stream mode did not reject the malformed tail:\n"
+              + malformed_reference)
+        return 1
 
     serve_args = SERVE_ARGS + ["--listen", "127.0.0.1:0"]
     if args.shards > 1:
         serve_args += ["--shards", str(args.shards)]
-    server = subprocess.Popen(
-        [args.binary] + serve_args,
-        stdout=subprocess.PIPE,
-    )
+    server, port = start_server(args.binary, serve_args)
     try:
-        # The first stdout line publishes the resolved ephemeral port.
-        line = server.stdout.readline().decode()
-        match = re.match(r"# listen: 127\.0\.0\.1:(\d+)", line)
-        if not match:
-            print("smoke: expected '# listen:' line, got: %r" % line)
+        if port is None:
             return 1
-        port = int(match.group(1))
 
         failures: list = []
         lock = threading.Lock()
@@ -211,8 +271,29 @@ def main() -> int:
             print("smoke: summary reports %d killed shards, want 1:\n%s"
                   % (killed, tail))
             return 1
+    # A malformed record after good ones: same results as stdin, then the
+    # error, however the bytes are segmented.
+    server, port = start_server(args.binary, serve_args)
+    try:
+        if port is None:
+            return 1
+        for byte_by_byte in (False, True):
+            error = malformed_tail(port, malformed_reference, byte_by_byte)
+            if error:
+                print("smoke: " + error)
+                return 1
+    finally:
+        server.send_signal(signal.SIGTERM)
+        tail = server.stdout.read().decode()
+        code = server.wait(timeout=60)
+    if code != 2 or " protocol_errors=2 " not in tail:
+        print("smoke: malformed-tail server exited %d, want 2 with "
+              "protocol_errors=2:\n%s" % (code, tail))
+        return 1
+
     print("smoke: %d connections (%d concurrent, %d shard%s), all "
-          "bit-identical to stream mode; graceful drain ok"
+          "bit-identical to stream mode; malformed tail matches stream "
+          "mode; graceful drain ok"
           % (args.connections + kill_conns, args.concurrency, args.shards,
              "" if args.shards == 1 else "s"))
     return 0

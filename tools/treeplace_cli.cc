@@ -15,7 +15,7 @@
 // Every placement algorithm is selected by name through the SolverRegistry
 // (solver/registry.h); `solve --list-algos` enumerates them.  Trees are
 // read/written in the text format of tree/io.h; `serve` additionally
-// accepts scenario-delta records (serve/request_stream.h).
+// accepts scenario-delta records (serve/wire.h).
 //
 // Exit codes: 0 success; 1 infeasible instance or unmet --budget; 2 usage
 // error (including unknown commands, flags and --algo names).
@@ -246,7 +246,7 @@ int cmd_gen(const Args& args) {
 }
 
 /// One scenario delta as a serve-stream record line (the grammar of
-/// serve/request_stream.h — the inverse of its parse_delta_line).
+/// serve/wire.h — the inverse of tree/io.h's parse_delta_line).
 void print_delta_line(std::ostream& os, const ScenarioDelta& d) {
   switch (d.op) {
     case ScenarioDelta::Op::kSetRequests:
