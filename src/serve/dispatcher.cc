@@ -23,6 +23,8 @@ SolveDispatcher::SolveDispatcher(DispatcherConfig config)
                       "SolveDispatcher needs at least one solver");
   queue_capacity_ =
       config.queue_capacity ? config.queue_capacity : 4 * pool_.size();
+  stats_.threads = pool_.size();
+  stats_.queue_capacity = queue_capacity_;
   solvers_.reserve(config.algos.size());
   stats_.per_solver.reserve(config.algos.size());
   for (const std::string& algo : config.algos) {
@@ -36,55 +38,31 @@ SolveDispatcher::SolveDispatcher(DispatcherConfig config)
 std::future<ServeResult> SolveDispatcher::submit(
     std::size_t solver_index, Instance instance,
     std::shared_ptr<SolveSession> session, std::vector<ScenarioDelta> deltas) {
-  TREEPLACE_CHECK_MSG(solver_index < solvers_.size(),
-                      "solver index " << solver_index << " out of range");
-  const Solver& solver = *solvers_[solver_index];
-  if (!solver.info().accepts(instance.num_internal(),
-                             instance.modes.count())) {
-    // Capability rejection: resolve immediately, never occupy a slot.
-    ServeResult result;
-    result.error = "solver '" + solver.name() +
-                   "' does not accept this instance (" +
-                   std::to_string(instance.num_internal()) +
-                   " internal nodes, " +
-                   std::to_string(instance.modes.count()) + " modes)";
-    std::promise<ServeResult> ready;
-    ready.set_value(std::move(result));
-    std::scoped_lock lock(mutex_);
-    ++stats_.submitted;
-    ++stats_.completed;
-    ++stats_.per_solver[solver_index].errors;
-    return ready.get_future();
-  }
-
   {
     std::unique_lock lock(mutex_);
     slot_freed_.wait(lock, [this] { return in_flight_ < queue_capacity_; });
-    ++in_flight_;
-    ++stats_.submitted;
-    stats_.max_in_flight = std::max(stats_.max_in_flight, in_flight_);
+    take_slot();
   }
-  Stopwatch queued;
-  std::shared_ptr<SolveSession> strand =
-      any(solver.caps() & SolverCaps::kIncremental) ? session : nullptr;
-  auto task = std::make_shared<std::packaged_task<ServeResult()>>(
-      [this, solver_index, instance = std::move(instance),
-       session = std::move(session), deltas = std::move(deltas), queued] {
-        return run_solve(solver_index, instance, session.get(), deltas,
-                         queued.seconds());
-      });
-  std::future<ServeResult> result = task->get_future();
-  post(strand, [task] { (*task)(); });
+  auto promise = std::make_shared<std::promise<ServeResult>>();
+  std::future<ServeResult> result = promise->get_future();
+  submit_reserved(solver_index, std::move(instance), std::move(session),
+                  std::move(deltas), [promise](ServeResult done) {
+                    promise->set_value(std::move(done));
+                  });
   return result;
 }
 
 bool SolveDispatcher::try_reserve_slot() {
   std::scoped_lock lock(mutex_);
   if (in_flight_ >= queue_capacity_) return false;
+  take_slot();
+  return true;
+}
+
+void SolveDispatcher::take_slot() {
   ++in_flight_;
   ++stats_.submitted;
   stats_.max_in_flight = std::max(stats_.max_in_flight, in_flight_);
-  return true;
 }
 
 void SolveDispatcher::release_reserved_slot() {

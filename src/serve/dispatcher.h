@@ -1,12 +1,14 @@
 // Bounded-queue solve dispatcher: the serving loop's execution engine.
 //
 // A SolveDispatcher owns one thread pool (support/thread_pool.h) and one or
-// more registry-created solver instances, and turns Instances into
-// future<ServeResult>s.  submit() enforces a bounded work queue: when
-// `queue_capacity` solves are already queued or running, the submitting
-// thread blocks until a slot frees up, so an arbitrarily long request
-// stream is served with bounded memory no matter how far the reader runs
-// ahead of the solvers.
+// more registry-created solver instances, and solves Instances behind a
+// bounded work queue: at most `queue_capacity` solves are queued or
+// running, so an arbitrarily long request stream is served with bounded
+// memory no matter how far the reader runs ahead of the solvers.  There is
+// one admission path: reserve a slot, then submit_reserved() with a
+// completion callback.  The serving core (serve/connection.h) reserves
+// without blocking and backs off on a full queue; submit() blocks for its
+// slot and resolves a future from the callback.
 //
 // Solvers are configured once at construction (including the
 // Solver::Options::threads knob for solver-internal parallelism) and then
@@ -79,6 +81,8 @@ struct SolverLatencyStats {
 };
 
 struct DispatcherStats {
+  std::size_t threads = 0;         ///< pool size
+  std::size_t queue_capacity = 0;  ///< bound on in-flight solves
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   std::size_t max_in_flight = 0;
@@ -95,10 +99,11 @@ class SolveDispatcher {
   SolveDispatcher(const SolveDispatcher&) = delete;
   SolveDispatcher& operator=(const SolveDispatcher&) = delete;
 
-  /// Dispatches `instance` to solver `solver_index`.  Blocks while
-  /// queue_capacity() solves are in flight.  A capability rejection (the
-  /// solver does not accept the instance) or a solver throw resolves the
-  /// future with ok = false instead of propagating.
+  /// Dispatches `instance` to solver `solver_index`: a blocking slot
+  /// reservation (waits while queue_capacity() solves are in flight), then
+  /// submit_reserved() with a callback that resolves the future.  A
+  /// capability rejection (the solver does not accept the instance) or a
+  /// solver throw resolves it with ok = false instead of propagating.
   ///
   /// When `session` is set and the solver supports incremental solves, the
   /// solve joins the session's strand: it runs Solver::solve(SolveRequest)
@@ -147,6 +152,8 @@ class SolveDispatcher {
   DispatcherStats stats() const;
 
  private:
+  /// Books one in-flight slot; mutex_ held.
+  void take_slot();
   ServeResult run_solve(std::size_t solver_index, const Instance& instance,
                         SolveSession* session,
                         const std::vector<ScenarioDelta>& deltas,

@@ -22,7 +22,6 @@
 #include <optional>
 #include <ostream>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "serve/router.h"
@@ -156,11 +155,6 @@ in_addr_t parse_host(const std::string& host) {
   return addr.s_addr;
 }
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  TREEPLACE_CHECK(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0);
-}
-
 }  // namespace
 
 bool arm_tcp_keepalive(int fd, int idle_seconds) {
@@ -181,20 +175,13 @@ bool arm_tcp_keepalive(int fd, int idle_seconds) {
 
 namespace {
 
-void make_wake_pipe(int* read_fd, int* write_fd) {
-  int fds[2];
-  TREEPLACE_CHECK_MSG(::pipe(fds) == 0, "pipe: " << std::strerror(errno));
-  *read_fd = fds[0];
-  *write_fd = fds[1];
-  set_nonblocking(*read_fd);
-  set_nonblocking(*write_fd);
-}
-
 /// On-disk name of one namespaced session's snapshot.  The namespace id is
 /// process-stable (hello-name hash), so a restarted server resolves the
 /// same client to the same file.
 std::string snapshot_path(const std::string& dir, const CacheKey& key) {
-  std::string name = "t" + std::to_string(key.namespace_id) + "_";
+  std::string name = std::to_string(key.namespace_id);
+  name.insert(name.begin(), 't');
+  name += '_';
   for (const char c : key.topology_key) {
     name += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
   }
@@ -210,23 +197,14 @@ NetServer::NetServer(NetServerConfig config) : config_(std::move(config)) {
   if (!config_.persist_dir.empty()) {
     ::mkdir(config_.persist_dir.c_str(), 0755);  // EEXIST is fine
   }
-  make_wake_pipe(&wake_read_fd_, &wake_write_fd_);
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    auto shard = std::make_unique<ShardState>();
-    make_wake_pipe(&shard->wake_read_fd, &shard->wake_write_fd);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<ShardState>());
   }
 }
 
 NetServer::~NetServer() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  ::close(wake_read_fd_);
-  ::close(wake_write_fd_);
-  for (const auto& shard : shards_) {
-    ::close(shard->wake_read_fd);
-    ::close(shard->wake_write_fd);
-  }
 }
 
 std::uint16_t NetServer::listen_and_bind() {
@@ -258,23 +236,14 @@ std::uint16_t NetServer::listen_and_bind() {
 
 void NetServer::shutdown() {
   shutdown_requested_.store(true, std::memory_order_release);
-  const char byte = 's';
-  [[maybe_unused]] const ssize_t n = ::write(wake_write_fd_, &byte, 1);
-}
-
-void NetServer::wake_shard(std::size_t shard) {
-  const char byte = 'w';
-  [[maybe_unused]] const ssize_t n =
-      ::write(shards_[shard]->wake_write_fd, &byte, 1);
+  wake_.notify();
 }
 
 void NetServer::kill_shard(std::size_t shard) {
   // Async-signal-safe: atomics and write() only, no locks or streams.
   if (shard >= shards_.size()) return;
   shards_[shard]->kill.store(true, std::memory_order_release);
-  const char byte = 'k';
-  [[maybe_unused]] const ssize_t n =
-      ::write(shards_[shard]->wake_write_fd, &byte, 1);
+  shards_[shard]->wake.notify();
 }
 
 void NetServer::kill_next_shard() {
@@ -289,17 +258,6 @@ void NetServer::kill_next_shard() {
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard aggregation record
-
-struct NetServer::ShardReport {
-  NetServerSummary summary;
-  LatencyHistogram latency;
-  std::string poller_name;
-  std::size_t threads = 0;
-  std::size_t queue_capacity = 0;
-};
-
-// ---------------------------------------------------------------------------
 // The per-shard serving loop
 
 class NetServer::Loop {
@@ -308,32 +266,33 @@ class NetServer::Loop {
       : server_(server),
         config_(server.config_),
         shard_(*server.shards_[shard_index]),
-        dispatcher_(config_.stream.dispatcher),
-        cache_(config_.stream.cache_capacity,
-               SolveSession::Options{config_.stream.session_max_bytes}),
-        poller_(Poller::create()),
-        format_{config_.stream.print_placements,
-                config_.stream.cost_budget.has_value()} {}
+        core_(config_.stream, config_.max_output_bytes),
+        poller_(Poller::create()) {
+    if (!config_.persist_dir.empty()) {
+      core_.on_named_publish = [this](const CacheKey& key,
+                                      SolveSession& session) {
+        maybe_restore(key, session);
+      };
+    }
+  }
 
-  ShardReport run();
+  NetServerSummary run();
 
  private:
-  double now() const { return wall_.seconds(); }
+  double now() const { return core_.now(); }
 
-  void push_completion(Completion completion);
-  void drain_wake_pipe();
   void drain_completions();
   void adopt_handoffs();
   void retry_stalled();
   void handle_readable(Connection* conn);
   void handle_writable(Connection* conn);
-  void process_requests(Connection* conn);
-  void flush_completed(Connection* conn);
+  /// Emits conn's completed results and its protocol-error note, writes,
+  /// re-arms interest and may close the connection.
+  void flush(Connection* conn);
   bool try_write(Connection* conn);  ///< false: connection was closed
   void update_interest(Connection* conn);
   void maybe_close(Connection* conn);
   void close_connection(Connection* conn);
-  void fail_connection(Connection* conn, std::string reason);
   void touch_activity(Connection* conn);
   void reap_idle();
   void begin_drain();
@@ -344,55 +303,26 @@ class NetServer::Loop {
   NetServer& server_;
   const NetServerConfig& config_;
   ShardState& shard_;
-  SolveDispatcher dispatcher_;
-  TopologyCache cache_;
+  ServeCore core_;
   std::unique_ptr<Poller> poller_;
-  ResultFormat format_;
 
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
   std::unordered_map<int, Connection*> by_fd_;
   std::list<std::uint64_t> idle_order_;  ///< activity order, oldest first
-  std::vector<std::uint64_t> stalled_;   ///< await a freed dispatcher slot
-  /// Namespaces bound by a hello name= on this shard — the set whose
-  /// sessions are worth persisting at drain (anonymous uid namespaces can
-  /// never be re-claimed, so saving them would only litter the directory).
-  std::unordered_set<std::uint64_t> named_namespaces_;
 
   bool draining_ = false;
   double drain_start_ = 0.0;
 
-  Stopwatch wall_;
-  LatencyHistogram latency_;
-  NetServerSummary summary_;
+  NetServerSummary summary_;  ///< the loop's own counters; core_ has the rest
 };
 
-void NetServer::Loop::push_completion(Completion completion) {
-  {
-    std::scoped_lock lock(shard_.mutex);
-    shard_.completions.push_back(std::move(completion));
-  }
-  const char byte = 'c';
-  [[maybe_unused]] const ssize_t n = ::write(shard_.wake_write_fd, &byte, 1);
-}
-
-void NetServer::Loop::drain_wake_pipe() {
-  char buf[256];
-  while (::read(shard_.wake_read_fd, buf, sizeof(buf)) > 0) {
-  }
-}
-
 void NetServer::Loop::drain_completions() {
-  std::deque<Completion> batch;
-  {
-    std::scoped_lock lock(shard_.mutex);
-    batch.swap(shard_.completions);
-  }
-  for (Completion& c : batch) {
+  for (ServeCore::Completion& c : core_.take_completions()) {
     const auto it = conns_.find(c.conn_uid);
     if (it == conns_.end()) continue;  // connection died mid-solve
     Connection* conn = it->second.get();
     conn->complete(c.seq, std::move(c.result));
-    flush_completed(conn);
+    flush(conn);
   }
 }
 
@@ -410,8 +340,7 @@ void NetServer::Loop::adopt_handoffs() {
       ++summary_.dropped;
       continue;
     }
-    auto owned =
-        std::make_unique<Connection>(h.fd, h.uid, config_.max_line_bytes);
+    auto owned = std::make_unique<Connection>(h.fd, h.uid);
     Connection* conn = owned.get();
     conn->last_activity_seconds = now();
     idle_order_.push_back(h.uid);
@@ -437,24 +366,25 @@ void NetServer::Loop::adopt_handoffs() {
       conn->pump();
       if (h.eof) conn->input_done();
     } catch (const CheckError& e) {
-      fail_connection(conn, e.what());
+      conn->failed = true;
+      conn->fail_reason = e.message();
     }
-    process_requests(conn);
-    flush_completed(conn);  // writes, re-arms interest, may close
+    core_.process_requests(*conn);
+    flush(conn);
   }
 }
 
 void NetServer::Loop::retry_stalled() {
-  if (stalled_.empty()) return;
+  if (core_.stalled.empty()) return;
   std::vector<std::uint64_t> retry;
-  retry.swap(stalled_);
+  retry.swap(core_.stalled);
   for (const std::uint64_t uid : retry) {
     const auto it = conns_.find(uid);
     if (it == conns_.end()) continue;
     Connection* conn = it->second.get();
     conn->stalled = false;
-    process_requests(conn);
-    flush_completed(conn);
+    core_.process_requests(*conn);
+    flush(conn);
   }
 }
 
@@ -486,98 +416,23 @@ void NetServer::Loop::handle_readable(Connection* conn) {
     conn->pump();
     if (eof) conn->input_done();
   } catch (const CheckError& e) {
-    fail_connection(conn, e.what());
+    conn->failed = true;
+    conn->fail_reason = e.message();
   }
-  process_requests(conn);
-  flush_completed(conn);  // writes, re-arms interest, may close
+  core_.process_requests(*conn);
+  flush(conn);
 }
 
 void NetServer::Loop::handle_writable(Connection* conn) {
   if (!try_write(conn)) return;
   touch_activity(conn);
   // Output drained below the cap: resume submitting parsed records.
-  process_requests(conn);
-  flush_completed(conn);
+  core_.process_requests(*conn);
+  flush(conn);
 }
 
-void NetServer::Loop::process_requests(Connection* conn) {
-  while (!conn->ready_requests().empty()) {
-    if (conn->out().size() > config_.max_output_bytes) {
-      if (conn->poll_read) ++summary_.output_stalls;
-      break;  // slow consumer: resume when the socket drains
-    }
-    ServeRequest& request = conn->ready_requests().front();
-
-    // The handshake consumes no ordinal and no dispatcher slot; replying
-    // inline keeps the `# hello:` line ahead of every result, exactly as
-    // in stream mode.  A name binds the connection's cache namespace to
-    // the name's stable hash — the identity the router hashed onto the
-    // ring, and the one persistence files are keyed by.
-    if (request.hello) {
-      ++summary_.hellos;
-      if (!request.hello->name.empty()) {
-        conn->namespace_id = stable_hash64(request.hello->name);
-        conn->named = true;
-        named_namespaces_.insert(conn->namespace_id);
-      }
-      conn->out().append(hello_reply());
-      conn->ready_requests().pop_front();
-      continue;
-    }
-
-    const std::string client_key = request.topology_key;
-    const CacheKey cache_key{conn->namespace_id, client_key};
-
-    // Reserve the dispatcher slot before touching the request, so a full
-    // queue leaves it intact for the retry (unknown-key and bad-delta
-    // requests briefly hold a slot too; they release it inline below).
-    if (!dispatcher_.try_reserve_slot()) {
-      if (!conn->stalled) {
-        conn->stalled = true;
-        stalled_.push_back(conn->uid());
-        ++summary_.backpressure_stalls;
-        ++conn->stats().backpressure_stalls;
-      }
-      break;  // socket read interest drops until a slot frees up
-    }
-
-    BoundRequest bound =
-        bind_request(request, cache_key, cache_, config_.stream);
-    if (request.tree && !config_.persist_dir.empty() && conn->named) {
-      maybe_restore(cache_key, *bound.session);
-    }
-
-    const std::size_t seq = conn->allocate_seq(now());
-    if (bound.error) {
-      dispatcher_.release_reserved_slot();
-      conn->complete(seq,
-                     render_result(request.id, client_key, *bound.error,
-                                   format_));
-    } else {
-      const std::uint64_t uid = conn->uid();
-      const std::size_t id = request.id;
-      dispatcher_.submit_reserved(
-          0, std::move(*bound.instance), std::move(bound.session),
-          std::move(request.deltas),
-          [this, uid, seq, id, client_key](ServeResult result) {
-            push_completion(Completion{
-                uid, seq,
-                render_result(id, client_key, result, format_)});
-          });
-    }
-    ++summary_.requests;
-    ++conn->stats().requests;
-    conn->ready_requests().pop_front();
-  }
-}
-
-void NetServer::Loop::flush_completed(Connection* conn) {
-  while (std::optional<Connection::Done> done = conn->next_completed()) {
-    latency_.record(now() - done->submit_seconds);
-    summary_.count(done->result);
-    conn->out().append(done->result.line);
-    ++conn->stats().results;
-  }
+void NetServer::Loop::flush(Connection* conn) {
+  core_.flush_completed(*conn);
   if (conn->failed && !conn->fail_noted && conn->in_flight() == 0 &&
       conn->ready_requests().empty()) {
     conn->fail_noted = true;
@@ -596,7 +451,6 @@ bool NetServer::Loop::try_write(Connection* conn) {
         ::send(conn->fd(), pending.data(), pending.size(), MSG_NOSIGNAL);
     if (n > 0) {
       conn->out().consume(static_cast<std::size_t>(n));
-      conn->stats().bytes_out += static_cast<std::uint64_t>(n);
       summary_.bytes_out += static_cast<std::uint64_t>(n);
       continue;
     }
@@ -646,11 +500,6 @@ void NetServer::Loop::close_connection(Connection* conn) {
   server_.shard_conns_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void NetServer::Loop::fail_connection(Connection* conn, std::string reason) {
-  conn->failed = true;
-  conn->fail_reason = std::move(reason);
-}
-
 void NetServer::Loop::touch_activity(Connection* conn) {
   conn->last_activity_seconds = now();
   idle_order_.splice(idle_order_.end(), idle_order_, conn->idle_pos);
@@ -689,7 +538,7 @@ void NetServer::Loop::begin_drain() {
   for (const std::uint64_t uid : uids) {
     const auto it = conns_.find(uid);
     if (it == conns_.end()) continue;
-    flush_completed(it->second.get());
+    flush(it->second.get());
   }
 }
 
@@ -714,8 +563,8 @@ void NetServer::Loop::maybe_restore(const CacheKey& key,
 
 void NetServer::Loop::save_sessions() {
   if (config_.persist_dir.empty()) return;
-  cache_.for_each([&](const CacheKey& key, const CachedTopology& entry) {
-    if (!named_namespaces_.count(key.namespace_id)) return;
+  core_.cache.for_each([&](const CacheKey& key, const CachedTopology& entry) {
+    if (!core_.named_namespaces.count(key.namespace_id)) return;
     if (entry.session == nullptr) return;
     const std::string path = snapshot_path(config_.persist_dir, key);
     const std::string tmp = path + ".tmp";
@@ -748,8 +597,9 @@ int NetServer::Loop::poll_timeout_ms() const {
   return -1;
 }
 
-NetServer::ShardReport NetServer::Loop::run() {
-  poller_->add(shard_.wake_read_fd, true, false);
+NetServerSummary NetServer::Loop::run() {
+  poller_->add(shard_.wake.fd(), true, false);
+  poller_->add(core_.wake().fd(), true, false);
 
   std::vector<Poller::Event> events;
   while (true) {
@@ -773,8 +623,12 @@ NetServer::ShardReport NetServer::Loop::run() {
     events.clear();
     poller_->wait(events, poll_timeout_ms());
     for (const Poller::Event& ev : events) {
-      if (ev.fd == shard_.wake_read_fd) {
-        drain_wake_pipe();
+      if (ev.fd == shard_.wake.fd()) {
+        shard_.wake.drain();
+        continue;
+      }
+      if (ev.fd == core_.wake().fd()) {
+        core_.wake().drain();
         continue;
       }
       const auto it = by_fd_.find(ev.fd);
@@ -800,19 +654,8 @@ NetServer::ShardReport NetServer::Loop::run() {
   // sessions are quiescent: snapshot the named ones for the next owner.
   save_sessions();
 
-  summary_.set_wall_seconds(wall_.seconds());
-  summary_.p50_latency_seconds = latency_.percentile(0.50);
-  summary_.p99_latency_seconds = latency_.percentile(0.99);
-  summary_.dispatcher = dispatcher_.stats();
-  summary_.cache = cache_.stats();
-
-  ShardReport report;
-  report.summary = summary_;
-  report.latency = latency_;
-  report.poller_name = poller_->name();
-  report.threads = dispatcher_.threads();
-  report.queue_capacity = dispatcher_.queue_capacity();
-  return report;
+  static_cast<ServeSummary&>(summary_) = core_.report();
+  return summary_;
 }
 
 // ---------------------------------------------------------------------------
@@ -850,7 +693,6 @@ class NetServer::Router {
   static constexpr std::size_t kMaxPreReadBytes = 64 * 1024;
   static constexpr double kPreReadDeadline = 1.0;
 
-  void drain_wake_pipe();
   void accept_ready();
   void handle_pre_read(int fd);
   /// The ring hash of the first decisive (non-blank, non-comment) line
@@ -870,12 +712,6 @@ class NetServer::Router {
   std::uint64_t peak_ = 0;
   Stopwatch wall_;
 };
-
-void NetServer::Router::drain_wake_pipe() {
-  char buf[256];
-  while (::read(server_.wake_read_fd_, buf, sizeof(buf)) > 0) {
-  }
-}
 
 void NetServer::Router::accept_ready() {
   while (true) {
@@ -960,7 +796,7 @@ void NetServer::Router::route(int fd, std::optional<std::uint64_t> hash,
     server_.shards_[shard]->handoffs.push_back(
         Handoff{fd, p.uid, std::move(p.buf), eof});
   }
-  server_.wake_shard(shard);
+  server_.shards_[shard]->wake.notify();
   pre_reads_.erase(it);
 }
 
@@ -1003,15 +839,15 @@ void NetServer::Router::flush_overdue() {
 
 void NetServer::Router::run() {
   poller_->add(server_.listen_fd_, true, false);
-  poller_->add(server_.wake_read_fd_, true, false);
+  poller_->add(server_.wake_.fd(), true, false);
 
   std::vector<Poller::Event> events;
   while (!server_.shutdown_requested_.load(std::memory_order_acquire)) {
     events.clear();
     poller_->wait(events, pre_reads_.empty() ? -1 : 100);
     for (const Poller::Event& ev : events) {
-      if (ev.fd == server_.wake_read_fd_) {
-        drain_wake_pipe();
+      if (ev.fd == server_.wake_.fd()) {
+        server_.wake_.drain();
         continue;
       }
       if (ev.fd == server_.listen_fd_) {
@@ -1036,7 +872,7 @@ void NetServer::Router::run() {
   pre_reads_.clear();
   for (std::size_t i = 0; i < server_.shards_.size(); ++i) {
     server_.shards_[i]->drain.store(true, std::memory_order_release);
-    server_.wake_shard(i);
+    server_.shards_[i]->wake.notify();
   }
 }
 
@@ -1046,7 +882,7 @@ void NetServer::Router::run() {
 NetServerSummary NetServer::run(std::ostream& summary_out) {
   TREEPLACE_CHECK_MSG(listen_fd_ >= 0, "call listen_and_bind() before run()");
 
-  std::vector<ShardReport> reports(shards_.size());
+  std::vector<NetServerSummary> reports(shards_.size());
   std::vector<std::thread> threads;
   threads.reserve(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -1070,12 +906,10 @@ NetServerSummary NetServer::run(std::ostream& summary_out) {
   // Aggregate: shard-owned counters sum, router-owned counters come from
   // the router, latencies merge into one histogram.
   NetServerSummary total;
-  LatencyHistogram latency;
   total.accepted = router.accepted();
   total.dropped = router.dropped();
   total.peak_connections = router.peak();
-  for (const ShardReport& r : reports) {
-    const NetServerSummary& s = r.summary;
+  for (const NetServerSummary& s : reports) {
     total.dropped += s.dropped;
     total.reaped_idle += s.reaped_idle;
     total.protocol_errors += s.protocol_errors;
@@ -1093,12 +927,16 @@ NetServerSummary NetServer::run(std::ostream& summary_out) {
     total.sessions_restored += s.sessions_restored;
     total.shards_killed += s.shards_killed;
     total.drain_timed_out = total.drain_timed_out || s.drain_timed_out;
-    latency.merge(r.latency);
+    total.latency.merge(s.latency);
 
     total.dispatcher.submitted += s.dispatcher.submitted;
     total.dispatcher.completed += s.dispatcher.completed;
     total.dispatcher.max_in_flight += s.dispatcher.max_in_flight;
     if (total.dispatcher.per_solver.empty()) {
+      // Shards are configured alike: shard 0's pool and queue speak for
+      // every shard.
+      total.dispatcher.threads = s.dispatcher.threads;
+      total.dispatcher.queue_capacity = s.dispatcher.queue_capacity;
       total.dispatcher.per_solver = s.dispatcher.per_solver;
     } else {
       SolverLatencyStats& agg = total.dispatcher.per_solver[0];
@@ -1125,16 +963,15 @@ NetServerSummary NetServer::run(std::ostream& summary_out) {
     total.cache.session_cells_skipped += s.cache.session_cells_skipped;
   }
   total.set_wall_seconds(router.wall_seconds());
-  total.p50_latency_seconds = latency.percentile(0.50);
-  total.p99_latency_seconds = latency.percentile(0.99);
+  total.p50_latency_seconds = total.latency.percentile(0.50);
+  total.p99_latency_seconds = total.latency.percentile(0.99);
 
   // The summary block: identical to the pre-sharding format (so existing
   // tooling keeps parsing it), with `# shard`/`# persist` lines appended
   // only when sharding or persistence is actually in play.
-  total.print_serve_lines(summary_out, reports[0].threads,
-                          reports[0].queue_capacity);
+  total.print_serve_lines(summary_out);
   summary_out
-      << "# net: poller=" << reports[0].poller_name
+      << "# net: poller=" << router.poller_name()
       << " accepted=" << total.accepted << " dropped=" << total.dropped
       << " reaped_idle=" << total.reaped_idle
       << " protocol_errors=" << total.protocol_errors
@@ -1148,7 +985,7 @@ NetServerSummary NetServer::run(std::ostream& summary_out) {
   total.print_cache_lines(summary_out, config_.stream.session_max_bytes);
   if (reports.size() > 1) {
     for (std::size_t i = 0; i < reports.size(); ++i) {
-      const NetServerSummary& s = reports[i].summary;
+      const NetServerSummary& s = reports[i];
       summary_out << "# shard " << i << ": accepted=" << s.accepted
                   << " requests=" << s.requests << " ok=" << s.ok
                   << " hellos=" << s.hellos

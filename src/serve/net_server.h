@@ -2,25 +2,24 @@
 // survive shard kills and restarts.
 //
 // NetServer runs a router thread in front of K in-process shards.  Each
-// shard is a self-contained serving loop — its own event loop (epoll,
-// with a portable poll() backend behind the Poller abstraction — select
-// TREEPLACE_POLLER=poll), its own TopologyCache of warm SolveSessions and
-// its own SolveDispatcher pool — so shards share no solver state and no
-// locks on the solve path.  The router accepts non-blocking TCP
-// connections, pre-reads just enough bytes to see the first record line,
-// and routes the connection by consistent hashing (serve/router.h): a
-// `treeplace-hello v1 name=<id>` handshake pins the client to the shard
-// owning stable_hash64(name) — same name, same shard, same warm session
-// across reconnects — while anonymous connections spread by uid.  The
-// socket plus its pre-read bytes are then handed off to the shard, which
-// frames its records incrementally (serve/wire.h's RecordParser, the one
-// serve grammar), binds each through bind_request() to a TopologyCache
-// entry + warm SolveSession under a CacheKey namespaced by the
-// connection, solves on the shard's dispatcher, and returns
-// per-connection-ordered result lines byte-identical to a StreamServer
-// run of the same records (modulo queue_s=/solve_s= timings) — for any
-// shard count, and for any segmentation of the input: a malformed record
-// still gets every earlier record's result, then `# protocol error:`.
+// shard is an event loop (epoll, with a portable poll() backend behind the
+// Poller abstraction — select TREEPLACE_POLLER=poll) around its own
+// ServeCore (serve/connection.h, the request path stdin serving runs too:
+// its own TopologyCache of warm SolveSessions and SolveDispatcher pool),
+// so shards share no solver state and no locks on the solve path.  The
+// loop keeps sockets, handoffs, idle reaping, drain and persistence.  The
+// router accepts non-blocking TCP connections, pre-reads just enough bytes
+// to see the first record line, and routes the connection by consistent
+// hashing (serve/router.h): a `treeplace-hello v1 name=<id>` handshake
+// pins the client to the shard owning stable_hash64(name) — same name,
+// same shard, same warm session across reconnects — while anonymous
+// connections spread by uid.  The socket plus its pre-read bytes are then
+// handed off to the shard, whose core binds each record under a CacheKey
+// namespaced by the connection and returns per-connection-ordered result
+// lines byte-identical to a StreamServer run of the same records (modulo
+// queue_s=/solve_s= timings) — for any shard count, and for any
+// segmentation of the input: a malformed record still gets every earlier
+// record's result, then `# protocol error:`.
 //
 // Persistence (`persist_dir`): a named client's sessions are written as
 // versioned snapshots (core/dp_snapshot.h via SolveSession::save) when
@@ -39,11 +38,10 @@
 // later connections (including the killed clients' reconnects) land on
 // the survivors.
 //
-// Backpressure and drain semantics within a shard are unchanged from the
-// single-loop server: bounded dispatcher queue and per-connection output
-// caps mask socket reads (TCP flow control pushes back on the client),
-// completions cross worker→loop through a mutex-protected queue plus the
-// shard's wake pipe, and graceful drain flushes every in-flight result.
+// Within a shard, a full dispatcher queue and the per-connection output
+// cap mask socket reads (TCP flow control pushes back on the client),
+// completions cross worker→loop through the core's completion queue and
+// wake pipe, and graceful drain flushes every in-flight result.
 #pragma once
 
 #include <atomic>
@@ -59,7 +57,6 @@
 #include <vector>
 
 #include "serve/connection.h"
-#include "serve/stream_server.h"
 #include "serve/wire.h"
 
 namespace treeplace::serve {
@@ -123,7 +120,6 @@ struct NetServerConfig {
   double drain_timeout_seconds = 30;  ///< force-close laggards on shutdown
   std::size_t max_output_bytes = 1 << 20;  ///< per-conn pending-out cap
   std::size_t read_chunk = 64 * 1024;      ///< bytes per read() call
-  std::size_t max_line_bytes = LineBuffer::kDefaultMaxLineBytes;
 
   /// Solver, cache and result-format knobs, shared with stream mode.
   /// Note cache_capacity bounds *resident topologies per shard*: serving
@@ -139,17 +135,14 @@ struct NetServerSummary : ServeSummary {
   std::uint64_t protocol_errors = 0;  ///< connections failed on bad input
   std::uint64_t peak_connections = 0;
 
-  std::uint64_t backpressure_stalls = 0;  ///< reads paused: dispatcher full
-  std::uint64_t output_stalls = 0;        ///< reads paused: slow consumer
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
 
-  std::uint64_t hellos = 0;            ///< handshakes served
   std::uint64_t sessions_saved = 0;    ///< snapshots written at drain
   std::uint64_t sessions_restored = 0; ///< snapshots resumed warm
   std::uint64_t shards_killed = 0;     ///< shards drained by kill_shard()
 
-  double p50_latency_seconds = 0.0;  ///< submit-to-emit, per result
+  double p50_latency_seconds = 0.0;  ///< of `latency`, server-wide only
   double p99_latency_seconds = 0.0;
 
   bool drain_timed_out = false;  ///< shutdown force-closed laggards
@@ -200,12 +193,6 @@ class NetServer {
   void kill_next_shard();
 
  private:
-  struct Completion {
-    std::uint64_t conn_uid = 0;
-    std::size_t seq = 0;
-    RenderedResult result;
-  };
-
   /// An accepted socket leaving the router for its shard: the fd, the
   /// server-unique uid, and every byte the router pre-read while sniffing
   /// the first record line (replayed into the shard's LineBuffer so no
@@ -217,34 +204,28 @@ class NetServer {
     bool eof = false;  ///< peer already half-closed during pre-read
   };
 
-  /// Router→shard and worker→shard-loop channels, one per shard.  The
-  /// wake pipe is the shard loop's only cross-thread contact; `kill` and
-  /// `drain` are the async-signal-safe stop requests (kill saves named
-  /// sessions and counts as a kill; drain is the shutdown path).
+  /// The router→shard channel, one per shard (completions reach the shard
+  /// loop through its ServeCore).  `kill` and `drain` are the
+  /// async-signal-safe stop requests (kill saves named sessions and counts
+  /// as a kill; drain is the shutdown path).
   struct ShardState {
-    int wake_read_fd = -1;
-    int wake_write_fd = -1;
+    WakePipe wake;
     std::atomic<bool> kill{false};
     std::atomic<bool> drain{false};
     /// Cleared the moment the shard starts draining, so the router stops
     /// routing new connections to it.
     std::atomic<bool> alive{true};
-    std::mutex mutex;  ///< guards completions + handoffs
-    std::deque<Completion> completions;
+    std::mutex mutex;  ///< guards handoffs
     std::deque<Handoff> handoffs;
   };
 
   class Loop;    // per-shard serving loop (net_server.cc)
   class Router;  // accept + pre-read + handoff loop (net_server.cc)
-  struct ShardReport;
-
-  void wake_shard(std::size_t shard);
 
   NetServerConfig config_;
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
-  int wake_read_fd_ = -1;   ///< router wake pipe (shutdown channel)
-  int wake_write_fd_ = -1;
+  WakePipe wake_;  ///< router wake pipe (shutdown channel)
   std::atomic<bool> shutdown_requested_{false};
 
   std::vector<std::unique_ptr<ShardState>> shards_;

@@ -129,8 +129,6 @@ HelloInfo parse_hello_line(std::string_view line) {
   return hello;
 }
 
-std::string_view hello_reply() { return "# hello: treeplace v1\n"; }
-
 ServeRequest RecordParser::complete() {
   ServeRequest done = std::exchange(current_, ServeRequest{});
   if (std::exchange(state_, State::kIdle) == State::kTree) {
@@ -219,8 +217,6 @@ RenderedResult render_result(std::size_t id, const std::string& topo_key,
                              const ServeResult& result,
                              const ResultFormat& format) {
   RenderedResult out;
-  out.warm = result.warm;
-  out.solve_seconds = result.solve_seconds;
   std::ostringstream os;
   os << "result id=" << id << " topo=" << topo_key;
   if (!result.ok) {

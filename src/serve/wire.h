@@ -1,9 +1,10 @@
 // The serve stream grammar and its zero-copy wire framing.
 //
-// Both serving modes — the blocking stdin loop (serve/stream_server.h) and
-// the TCP front-end (serve/net_server.h) — speak one line-record protocol,
-// `treeplace-*` records in, `result ...` lines out, and parse it with the
-// one RecordParser below.  A stream is a concatenation of record kinds:
+// Both serving modes — stdin (serve/stream_server.h) and the TCP front-end
+// (serve/net_server.h), two drivers of one serving core — speak one
+// line-record protocol, `treeplace-*` records in, `result ...` lines out,
+// and parse it with the one RecordParser below.  A stream is a
+// concatenation of record kinds:
 //
 //   treeplace-tree v1            the format of tree/io.h.  Registers the
 //   I 0 -1 0 -1                  tree's topology in the serving cache under
@@ -33,13 +34,13 @@
 //
 // Blank lines and `#` comments are skipped anywhere.  The parser only
 // parses; resolving keys against the cache is bind_request()'s job
-// (serve/stream_server.h), so bad references surface as per-request error
+// (serve/connection.h), so bad references surface as per-request error
 // records rather than parser throws.
 //
-// The framing pieces, built for non-blocking sockets where bytes arrive in
-// arbitrary fragments:
+// The framing pieces, built for bytes that arrive in arbitrary fragments
+// (non-blocking sockets, stdin read in bounded pieces):
 //
-//   * LineBuffer — an append-only byte window sockets read() straight into
+//   * LineBuffer — an append-only byte window input is read straight into
 //     (writable()/commit()); next_line() yields complete lines as
 //     string_views over the buffer, no copy, trailing CR stripped (CRLF
 //     clients are accepted everywhere), with an oversized-line guard so a
@@ -104,22 +105,15 @@ bool is_hello_line(std::string_view line);
 /// malformed name token.  RecordParser enforces the first-record placement.
 HelloInfo parse_hello_line(std::string_view line);
 
-/// The comment line every server writes in response to a hello record,
-/// identical in stream and net mode (it is a `#` line, so it never
-/// perturbs result parsing or bit-identity comparisons).
-std::string_view hello_reply();
-
 // ---------------------------------------------------------------------------
 // LineBuffer
 
-/// Incremental line framing over bytes read from a socket.  The buffer
+/// Incremental line framing over bytes read from a socket or stdin.  The buffer
 /// compacts itself: consumed bytes are dropped the next time write space is
 /// requested, so steady-state serving reuses one allocation per connection.
 class LineBuffer {
  public:
-  static constexpr std::size_t kDefaultMaxLineBytes = kMaxLineBytes;
-
-  explicit LineBuffer(std::size_t max_line_bytes = kDefaultMaxLineBytes)
+  explicit LineBuffer(std::size_t max_line_bytes = kMaxLineBytes)
       : max_line_bytes_(max_line_bytes) {}
 
   /// A span of at least `min_bytes` to read() into; invalidates views
@@ -134,8 +128,7 @@ class LineBuffer {
   std::optional<std::string_view> next_line();
 
   /// Consumes and returns the trailing unterminated bytes, if any — the
-  /// final "line" of a peer that half-closed without a trailing newline
-  /// (parity with stream mode, where getline returns it at EOF).
+  /// final "line" of a stream that ends without a trailing newline.
   std::optional<std::string_view> take_rest();
 
   /// Unconsumed bytes currently buffered (complete and partial lines).
@@ -251,8 +244,6 @@ struct RenderedResult {
   std::string line;  ///< one full "result ...\n" record
   ResultStatus status = ResultStatus::kOk;
   bool budget_missed = false;
-  bool warm = false;
-  double solve_seconds = 0.0;
 };
 
 /// Renders one `result ...` record, the same bytes in every serving mode.

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace treeplace {
 
@@ -18,7 +19,16 @@ namespace treeplace {
 /// than abort() keeps library misuse testable and recoverable by callers.
 class CheckError : public std::logic_error {
  public:
-  explicit CheckError(const std::string& what) : std::logic_error(what) {}
+  explicit CheckError(const std::string& what, std::string message = {})
+      : std::logic_error(what), message_(std::move(message)) {}
+
+  /// The check's message alone, without the failed condition and its
+  /// source location that what() adds: the text a client is sent.  what()
+  /// when the check has no message.
+  std::string message() const { return message_.empty() ? what() : message_; }
+
+ private:
+  std::string message_;
 };
 
 namespace detail {
@@ -28,7 +38,7 @@ namespace detail {
   std::ostringstream os;
   os << "TREEPLACE_CHECK failed: " << cond << " at " << file << ':' << line;
   if (!msg.empty()) os << " — " << msg;
-  throw CheckError(os.str());
+  throw CheckError(os.str(), msg);
 }
 
 }  // namespace detail

@@ -46,13 +46,27 @@ struct Cursor {
 }  // namespace
 
 bool read_record_line(std::istream& is, std::string& line) {
-  if (!std::getline(is, line)) return false;
-  TREEPLACE_CHECK_MSG(line.size() <= kMaxLineBytes,
-                      "oversized line: " << line.size() << " bytes (limit "
-                                         << kMaxLineBytes << ")");
-  // getline() keeps the '\r' of CRLF line endings; strip it so streams
-  // written on Windows (or piped through tools that add CRLF) parse
-  // identically — in particular, header matching is token-exact.
+  line.clear();
+  const std::istream::sentry ok(is, /*noskipws=*/true);
+  if (!ok) return false;
+  // getline() by hand, so that a line is rejected as soon as it outgrows
+  // the limit instead of after the whole line has been buffered.
+  std::streambuf& buf = *is.rdbuf();
+  for (int c = buf.sbumpc(); c != '\n'; c = buf.sbumpc()) {
+    if (c == std::char_traits<char>::eof()) {
+      is.setstate(line.empty() ? std::ios::eofbit | std::ios::failbit
+                               : std::ios::eofbit);
+      if (line.empty()) return false;
+      break;
+    }
+    TREEPLACE_CHECK_MSG(line.size() < kMaxLineBytes,
+                        "oversized line: more than " << kMaxLineBytes
+                                                     << " bytes");
+    line.push_back(static_cast<char>(c));
+  }
+  // Strip the '\r' of CRLF line endings so streams written on Windows (or
+  // piped through tools that add CRLF) parse identically — in particular,
+  // header matching is token-exact.
   if (!line.empty() && line.back() == '\r') line.pop_back();
   return true;
 }

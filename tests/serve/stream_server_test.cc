@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <istream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "solver/registry.h"
@@ -221,6 +226,99 @@ TEST(StreamServerTest, MalformedStreamStillFlushesResultsAndSummary) {
   EXPECT_NE(lines[1].find("id=2 "), std::string::npos);
   EXPECT_NE(out.str().find("# serve: stream error:"), std::string::npos);
   EXPECT_NE(out.str().find("# solver update-dp:"), std::string::npos);
+}
+
+/// `prefix`, then `x_bytes` of 'x' with no newline, handed out in 4 KiB
+/// pieces; counts what the reader consumed.
+class OversizedTailBuf : public std::streambuf {
+ public:
+  OversizedTailBuf(std::string prefix, std::size_t x_bytes)
+      : prefix_(std::move(prefix)), left_(x_bytes) {
+    setg(prefix_.data(), prefix_.data(), prefix_.data() + prefix_.size());
+  }
+  std::size_t consumed() const {
+    return produced_ - static_cast<std::size_t>(egptr() - gptr());
+  }
+
+ protected:
+  int_type underflow() override {
+    if (left_ == 0) return traits_type::eof();
+    const std::size_t n = std::min(piece_.size(), left_);
+    left_ -= n;
+    produced_ += n;
+    setg(piece_.data(), piece_.data(), piece_.data() + n);
+    return traits_type::to_int_type(piece_[0]);
+  }
+
+ private:
+  std::string prefix_;
+  std::string piece_ = std::string(4096, 'x');
+  std::size_t left_;
+  std::size_t produced_ = prefix_.size();
+};
+
+TEST(StreamServerTest, OversizedLineIsRejectedBeforeItIsBuffered) {
+  // The tree record is complete (the scenario header ends it); the next
+  // line runs 64 MiB without a newline.  The tree is served, the stream
+  // fails on the line, and the reader gives up at the 1 MiB line limit.
+  OversizedTailBuf buf(serialize_tree(make_tree(0)) +
+                           "treeplace-scenario v1 1\n",
+                       64u << 20);
+  std::istream in(&buf);
+  std::ostringstream out;
+  StreamServer server(single_mode_config(2));
+  const StreamServerSummary summary = server.serve(in, out);
+
+  EXPECT_TRUE(summary.stream_error);
+  EXPECT_NE(summary.stream_error_message.find("oversized line"),
+            std::string::npos)
+      << summary.stream_error_message;
+  EXPECT_EQ(summary.ok, 1u);
+  const auto lines = result_lines(out.str());
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("id=1 topo=1 status=ok"), std::string::npos);
+  EXPECT_LE(buf.consumed(), 2u << 20);
+}
+
+TEST(ServeCoreTest, ConnectionHoldsAtMostQueueCapacityResults) {
+  // Finished results wait in their connection until every earlier one is
+  // written; the core stops submitting for a connection that holds
+  // queue_capacity() unwritten results, so they cannot pile up behind a
+  // slow request.  Steps the core as StreamServer::serve does, except
+  // that completions are taken before output is written.
+  StreamServerConfig config = single_mode_config(2);
+  config.dispatcher.queue_capacity = 3;
+  ServeCore core(config);
+  Connection conn(-1, 0);
+  std::string stream = serialize_tree(make_tree(0));
+  for (int i = 0; i < 40; ++i) {
+    stream += "treeplace-scenario v1 1\nR 3 " + std::to_string(i % 5 + 1) +
+              "\n";
+  }
+  const std::span<char> buf = conn.writable(stream.size());
+  std::memcpy(buf.data(), stream.data(), stream.size());
+  conn.commit(stream.size());
+  conn.pump();
+  conn.input_done();
+
+  std::size_t peak = 0;
+  while (true) {
+    for (ServeCore::Completion& c : core.take_completions()) {
+      conn.complete(c.seq, std::move(c.result));
+    }
+    core.process_requests(conn);
+    peak = std::max(peak, conn.in_flight());
+    core.flush_completed(conn);
+    if (conn.ready_requests().empty() && conn.in_flight() == 0) break;
+    core.wake().wait();
+    conn.stalled = false;
+    core.stalled.clear();
+  }
+  EXPECT_LE(peak, 3u);
+  EXPECT_EQ(core.summary.requests, 41u);
+  EXPECT_EQ(core.summary.ok, 41u);
+  const std::span<const char> out = conn.out().pending();
+  EXPECT_EQ(result_lines(std::string(out.data(), out.size())).size(), 41u);
 }
 
 TEST(StreamServerTest, SummaryReportsLatencyStats) {

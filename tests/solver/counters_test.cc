@@ -47,10 +47,6 @@ TREEPLACE_ASSERT_U64(SolveSession::Stats::cells_skipped);
 TREEPLACE_ASSERT_U64(SolveSession::Stats::bytes_resident);
 TREEPLACE_ASSERT_U64(SolveSession::Stats::snapshots_dropped);
 TREEPLACE_ASSERT_U64(SolveSession::Stats::tables_dropped);
-TREEPLACE_ASSERT_U64(serve::ConnectionStats::bytes_in);
-TREEPLACE_ASSERT_U64(serve::ConnectionStats::bytes_out);
-TREEPLACE_ASSERT_U64(serve::ConnectionStats::requests);
-TREEPLACE_ASSERT_U64(serve::ConnectionStats::results);
 TREEPLACE_ASSERT_U64(serve::SolverLatencyStats::solves);
 TREEPLACE_ASSERT_U64(serve::SolverLatencyStats::warm);
 TREEPLACE_ASSERT_U64(serve::SolverLatencyStats::total_work);

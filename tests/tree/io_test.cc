@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <istream>
 #include <sstream>
+#include <string>
 
 #include "gen/tree_gen.h"
 #include "support/check.h"
@@ -159,6 +162,46 @@ TEST(TreeIoTest, OversizedLineThrows) {
   EXPECT_THROW(parse_tree("treeplace-tree v1\nI 0 -1 0 -1 # " +
                           std::string(2u << 20, 'x') + "\n"),
                CheckError);
+}
+
+/// An endless unterminated line: `limit` bytes of 'x' handed out in 4 KiB
+/// pieces, counting what the reader consumed.
+class XLineBuf : public std::streambuf {
+ public:
+  explicit XLineBuf(std::size_t limit) : limit_(limit) {}
+  std::size_t consumed() const {
+    return produced_ - static_cast<std::size_t>(egptr() - gptr());
+  }
+
+ protected:
+  int_type underflow() override {
+    if (produced_ == limit_) return traits_type::eof();
+    const std::size_t n = std::min(piece_.size(), limit_ - produced_);
+    produced_ += n;
+    setg(piece_.data(), piece_.data(), piece_.data() + n);
+    return traits_type::to_int_type(piece_[0]);
+  }
+
+ private:
+  std::string piece_ = std::string(4096, 'x');
+  std::size_t limit_;
+  std::size_t produced_ = 0;
+};
+
+TEST(TreeIoTest, OversizedLineIsRejectedBeforeItIsBuffered) {
+  // 64 MiB without a newline: the reader must give up at the limit, not
+  // hold the whole line first.
+  XLineBuf buf(64u << 20);
+  std::istream is(&buf);
+  std::string line;
+  try {
+    read_record_line(is, line);
+    ADD_FAILURE() << "no error on a 64 MiB line";
+  } catch (const CheckError& e) {
+    EXPECT_NE(e.message().find("oversized line"), std::string::npos)
+        << e.message();
+  }
+  EXPECT_LE(buf.consumed(), 2u << 20);
 }
 
 TEST(TreeStreamReaderTest, TruncatedNodeLineThrows) {

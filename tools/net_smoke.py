@@ -70,11 +70,6 @@ def strip_timings(text: str) -> str:
     )
 
 
-def check_message(line: str) -> str:
-    """An error line's message without the failed check's location."""
-    return line.split(" \u2014 ", 1)[-1]
-
-
 def stream_reference(binary: str, stream: str = STREAM) -> str:
     """Result lines StreamServer emits for `stream`, timings stripped; a
     stream error becomes the `# protocol error:` note net mode sends."""
@@ -87,9 +82,10 @@ def stream_reference(binary: str, stream: str = STREAM) -> str:
     )
     lines = proc.stdout.decode().splitlines()
     results = "".join(line + "\n" for line in lines if line.startswith("result "))
+    prefix = "# serve: stream error: "
     for line in lines:
-        if line.startswith("# serve: stream error: "):
-            results += "# protocol error: " + check_message(line) + "\n"
+        if line.startswith(prefix):
+            results += "# protocol error: " + line[len(prefix):] + "\n"
     return strip_timings(results)
 
 
@@ -122,14 +118,7 @@ def malformed_tail(port: int, reference: str, byte_by_byte: bool) -> str:
             if not chunk:
                 break
             chunks.append(chunk)
-    received = "".join(
-        (
-            "# protocol error: " + check_message(line) + "\n"
-            if line.startswith("# protocol error: ")
-            else line + "\n"
-        )
-        for line in strip_timings(b"".join(chunks).decode()).splitlines()
-    )
+    received = strip_timings(b"".join(chunks).decode())
     if received == reference:
         return ""
     return "malformed tail (%s) differs from stdin:\n--- got ---\n%s" \
