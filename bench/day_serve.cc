@@ -8,20 +8,17 @@
 // each batch into attachment-point records, and one persistent
 // SolveSession absorbs the whole day of warm power-sym re-solves.  The
 // table reports scenarios/sec, p50/p99 tick latency, the peak resident
-// session bytes over the day, the end-of-day packed/unpacked ratio —
-// the resident-byte reduction the narrow-cell + dead-run encodings buy —
-// and the warm ticks' mean phase split (plan, join, root, reconstruct,
-// evaluate; PowerPhaseSeconds).
+// session bytes over the day, and the warm ticks' mean phase split
+// (plan, join, root, reconstruct, evaluate; PowerPhaseSeconds).
 //
-// Two hard gates run in-bench (non-zero exit on failure):
-//   * the small `verify` configuration re-solves every tick cold on the
-//     un-aggregated tree and demands bit-identical placements (after
-//     Aggregation::expand), costs and powers — the exactness contract;
-//   * the large configuration's compact() must cut resident bytes >= 2x.
+// The hard gate runs in-bench (non-zero exit on failure): the small
+// `verify` configuration re-solves every tick cold on the un-aggregated
+// tree and demands bit-identical placements (after Aggregation::expand),
+// costs and powers — the exactness contract.
 //
 // The JSON written for the CI bench-diff gate contains only deterministic
-// columns (delta counts, DP work, lazy-join splice counters, the root
-// join's scan work, the gate flags); throughput, latency, phase and byte columns stay in the
+// columns (delta counts, DP work, the labels the warm ticks kept, the
+// gate flag); throughput, latency, phase and byte columns stay in the
 // CSV/stdout.
 // Knobs: TREEPLACE_DAY_USERS / TREEPLACE_DAY_TICKS / TREEPLACE_DAY_INTERNAL
 // override the big configuration, --out DIR / TREEPLACE_BENCH_DIR route
@@ -54,7 +51,6 @@ struct DayConfig {
   std::size_t ticks = 0;
   std::size_t num_pre_existing = 0;
   bool verify_against_original = false;  ///< cold original solve per tick
-  bool gate_pack_ratio = false;          ///< demand >= 2x compaction
   double touch_fraction = 0.02;  ///< DiurnalConfig::touch_fraction
 };
 
@@ -62,18 +58,14 @@ struct DayResult {
   std::size_t user_deltas = 0;  ///< user-level delta records streamed
   std::size_t agg_deltas = 0;   ///< records after map_deltas folding
   std::uint64_t warm_work = 0;
-  std::uint64_t cells_skipped = 0;
-  std::uint64_t root_scan_work = 0;  ///< root-join scan work, warm ticks
+  std::uint64_t labels = 0;  ///< labels kept by the warm ticks
   double cold_seconds = 0.0;  ///< the one priming solve
   double warm_seconds = 0.0;  ///< sum over all ticks
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   PowerPhaseSeconds phases;  ///< summed over the day's warm ticks
-  std::size_t peak_bytes = 0;      ///< max resident over the day (unpacked)
-  std::size_t unpacked_bytes = 0;  ///< end-of-day, before compact()
-  std::size_t packed_bytes = 0;    ///< end-of-day, after compact()
+  std::size_t peak_bytes = 0;  ///< max resident over the day
   bool identical = true;  ///< verify config: aggregated == original
-  bool pack_ok = true;    ///< gated config: ratio >= 2x
 };
 
 double percentile_ms(std::vector<double> seconds, double p) {
@@ -122,8 +114,7 @@ DayResult run_day(const DayConfig& config) {
     return r;
   }
   const std::uint64_t primed_work = primed.stats.work;
-  const std::uint64_t skipped_base = session.stats().cells_skipped;
-  const std::uint64_t root_scan_base = session.stats().root_scan_work;
+  const std::uint64_t labels_base = session.stats().labels;
   const PowerPhaseSeconds phases_base = session.stats().phases;
 
   DiurnalConfig diurnal;
@@ -164,17 +155,11 @@ DayResult run_day(const DayConfig& config) {
     }
   }
   r.warm_work += primed_work;  // the chain includes its priming solve
-  r.cells_skipped = session.stats().cells_skipped - skipped_base;
-  r.root_scan_work = session.stats().root_scan_work - root_scan_base;
+  r.labels = session.stats().labels - labels_base;
   r.phases = session.stats().phases;
   r.phases -= phases_base;
   r.p50_ms = percentile_ms(latencies, 0.50);
   r.p99_ms = percentile_ms(latencies, 0.99);
-  r.unpacked_bytes = session.resident_bytes();
-  r.packed_bytes = session.compact();
-  if (config.gate_pack_ratio) {
-    r.pack_ok = r.packed_bytes * 2 <= r.unpacked_bytes;
-  }
   return r;
 }
 
@@ -184,12 +169,7 @@ void add_result(Table& table, Table& gate, const DayConfig& config,
       r.warm_seconds > 0.0
           ? static_cast<double>(config.ticks) / r.warm_seconds
           : 0.0;
-  const double ratio =
-      r.packed_bytes > 0 ? static_cast<double>(r.unpacked_bytes) /
-                               static_cast<double>(r.packed_bytes)
-                         : 0.0;
   const std::string identical = r.identical ? "yes" : "NO";
-  const std::string pack_ok = r.pack_ok ? "yes" : "NO";
   // Phase columns: mean wall milliseconds per warm tick.
   const double per_tick =
       config.ticks > 0 ? 1e3 / static_cast<double>(config.ticks) : 0.0;
@@ -198,23 +178,18 @@ void add_result(Table& table, Table& gate, const DayConfig& config,
                  static_cast<std::int64_t>(r.user_deltas),
                  static_cast<std::int64_t>(r.agg_deltas),
                  static_cast<std::int64_t>(r.warm_work),
-                 static_cast<std::int64_t>(r.cells_skipped),
-                 static_cast<std::int64_t>(r.root_scan_work), scen_per_sec,
+                 static_cast<std::int64_t>(r.labels), scen_per_sec,
                  r.p50_ms, r.p99_ms, r.phases.plan * per_tick,
                  r.phases.join * per_tick, r.phases.root * per_tick,
                  r.phases.reconstruct * per_tick,
                  r.phases.evaluate * per_tick,
-                 static_cast<double>(r.peak_bytes) / 1048576.0,
-                 static_cast<double>(r.packed_bytes) / 1048576.0, ratio,
-                 identical, pack_ok});
+                 static_cast<double>(r.peak_bytes) / 1048576.0, identical});
   gate.add_row({config.label, static_cast<std::int64_t>(config.num_users),
                 static_cast<std::int64_t>(config.ticks),
                 static_cast<std::int64_t>(r.user_deltas),
                 static_cast<std::int64_t>(r.agg_deltas),
                 static_cast<std::int64_t>(r.warm_work),
-                static_cast<std::int64_t>(r.cells_skipped),
-                static_cast<std::int64_t>(r.root_scan_work), identical,
-                pack_ok});
+                static_cast<std::int64_t>(r.labels), identical});
 }
 
 }  // namespace
@@ -224,47 +199,41 @@ int main(int argc, char** argv) {
   bench::banner(
       "day serve — a simulated day of diurnal traffic at N=1e5 users",
       "hierarchical aggregation + warm power-sym re-solves per delta "
-      "batch; gates: aggregated solves bit-identical to un-aggregated, "
-      "compact() cuts resident session bytes >= 2x");
+      "batch; gate: aggregated solves bit-identical to un-aggregated");
 
   const std::vector<DayConfig> configs = {
       // The exactness gate: small enough to cold-solve the un-aggregated
       // tree every tick alongside the aggregated warm path.
       {"verify_N4k", 60, 4000, 20, /*num_pre_existing=*/10,
-       /*verify_against_original=*/true, /*gate_pack_ratio=*/false},
-      // The headline row: one day at 1e5 users, compaction gated.
+       /*verify_against_original=*/true},
+      // The headline row: one day at 1e5 users.
       {"day_N1e5",
        static_cast<int>(env_size_t("TREEPLACE_DAY_INTERNAL", 400)),
        env_size_t("TREEPLACE_DAY_USERS", 100000),
        env_size_t("TREEPLACE_DAY_TICKS",
                   scaled<std::size_t>(96, 288)),
-       /*num_pre_existing=*/0, /*verify_against_original=*/false,
-       /*gate_pack_ratio=*/true},
+       /*num_pre_existing=*/0, /*verify_against_original=*/false},
       // Both rows again on a *sparse* day (a tick touches a handful of
       // users): the warm session's dirty set stays within the delta
       // fast-path gate, so planning skips the per-node signature sweep.
       {"verify_N4k_sparse", 60, 4000, 20, /*num_pre_existing=*/10,
-       /*verify_against_original=*/true, /*gate_pack_ratio=*/false,
-       /*touch_fraction=*/0.001},
+       /*verify_against_original=*/true, /*touch_fraction=*/0.001},
       {"day_N1e5_sparse",
        static_cast<int>(env_size_t("TREEPLACE_DAY_INTERNAL", 400)),
        env_size_t("TREEPLACE_DAY_USERS", 100000),
        env_size_t("TREEPLACE_DAY_TICKS",
                   scaled<std::size_t>(96, 288)),
        /*num_pre_existing=*/0, /*verify_against_original=*/false,
-       /*gate_pack_ratio=*/true, /*touch_fraction=*/0.0002},
+       /*touch_fraction=*/0.0002},
   };
 
   Table table({"config", "users", "ticks", "user_deltas", "agg_deltas",
-               "warm_work", "cells_skipped", "root_scan", "scen_per_sec",
-               "p50_ms",
-               "p99_ms", "plan_ms", "join_ms", "root_ms", "recon_ms",
-               "eval_ms", "peak_mb", "packed_mb", "pack_ratio", "identical",
-               "pack_ok"});
+               "warm_work", "labels", "scen_per_sec", "p50_ms", "p99_ms",
+               "plan_ms", "join_ms", "root_ms", "recon_ms", "eval_ms",
+               "peak_mb", "identical"});
   table.set_title("Simulated day over a warm serving session");
   Table gate({"config", "users", "ticks", "user_deltas", "agg_deltas",
-              "warm_work", "cells_skipped", "root_scan", "identical",
-              "pack_ok"});
+              "warm_work", "labels", "identical"});
   gate.set_title("day_serve (deterministic columns)");
 
   Stopwatch total;
@@ -275,11 +244,6 @@ int main(int argc, char** argv) {
       failures.push_back("config " + config.label +
                          ": aggregated solve diverged from the "
                          "un-aggregated solve");
-    }
-    if (!r.pack_ok) {
-      failures.push_back("config " + config.label + ": compact() ratio " +
-                         std::to_string(r.unpacked_bytes) + "/" +
-                         std::to_string(r.packed_bytes) + " below 2x");
     }
     add_result(table, gate, config, r);
   }
@@ -295,7 +259,6 @@ int main(int argc, char** argv) {
     }
     return 1;
   }
-  std::cout << "aggregated solves bit-identical; compaction >= 2x on the "
-               "gated row\n";
+  std::cout << "aggregated solves bit-identical\n";
   return 0;
 }

@@ -13,9 +13,9 @@
 // small fraction of cold work even on one core.
 //
 // The JSON written for the CI bench-diff gate contains only deterministic
-// columns (work counters — root_scan is the power engines' root-join scan
-// work, PowerSolveStats::root_scan_work — node reuse counts, identity
-// flags); timings stay
+// columns (work counters — labels is the power engines' label count,
+// PowerSolveStats::labels, so a pruning regression fails the gate — node
+// reuse counts, identity flags); timings stay
 // in the CSV/stdout, including the warm solves' phase split (plan, join,
 // root, reconstruct, evaluate — summed PowerPhaseSeconds, power engines
 // only).  Knobs: TREEPLACE_WARM_STEPS overrides the steps per
@@ -127,7 +127,7 @@ struct ChainResult {
   std::uint64_t nodes_recomputed = 0;
   std::uint64_t nodes_reused = 0;
   std::uint64_t cells_skipped = 0;
-  std::uint64_t root_scan_work = 0;  ///< power engines' root-join scan
+  std::uint64_t labels = 0;  ///< power engines' labels, warm solves
   double cold_seconds = 0.0;
   double warm_seconds = 0.0;
   PowerPhaseSeconds warm_phases;  ///< summed over the chain's warm solves
@@ -186,7 +186,7 @@ ChainResult run_chain(const Config& config, const DeltaSize& delta,
   r.nodes_recomputed = stats.nodes_recomputed - primed.nodes_recomputed;
   r.nodes_reused = stats.nodes_reused - primed.nodes_reused;
   r.cells_skipped = stats.cells_skipped - primed.cells_skipped;
-  r.root_scan_work = stats.root_scan_work - primed.root_scan_work;
+  r.labels = stats.labels - primed.labels;
   r.warm_phases = stats.phases;
   r.warm_phases -= primed.phases;
   return r;
@@ -212,7 +212,7 @@ void add_result(Table& table, Table& gate, const std::string& algo,
                  static_cast<std::int64_t>(r.nodes_recomputed),
                  static_cast<std::int64_t>(r.nodes_reused),
                  static_cast<std::int64_t>(r.cells_skipped),
-                 static_cast<std::int64_t>(r.root_scan_work), r.cold_seconds,
+                 static_cast<std::int64_t>(r.labels), r.cold_seconds,
                  r.warm_seconds, speedup, ph.plan * 1e3, ph.join * 1e3,
                  ph.root * 1e3, ph.reconstruct * 1e3, ph.evaluate * 1e3,
                  identical});
@@ -222,7 +222,7 @@ void add_result(Table& table, Table& gate, const std::string& algo,
                 static_cast<std::int64_t>(r.nodes_recomputed),
                 static_cast<std::int64_t>(r.nodes_reused),
                 static_cast<std::int64_t>(r.cells_skipped),
-                static_cast<std::int64_t>(r.root_scan_work), identical});
+                static_cast<std::int64_t>(r.labels), identical});
 }
 
 }  // namespace
@@ -242,14 +242,14 @@ int main(int argc, char** argv) {
 
   Table table({"solver", "instance", "steps", "cold_work", "warm_work",
                "work_ratio", "nodes_recomputed", "nodes_reused",
-               "cells_skipped", "root_scan", "cold_s", "warm_s", "speedup",
+               "cells_skipped", "labels", "cold_s", "warm_s", "speedup",
                "plan_ms",
                "join_ms", "root_ms", "recon_ms", "eval_ms", "identical"});
   table.set_title("Warm vs. cold re-solves (" + std::to_string(steps) +
                   " delta steps per row)");
   Table gate({"solver", "instance", "steps", "cold_work", "warm_work",
               "nodes_recomputed", "nodes_reused", "cells_skipped",
-              "root_scan", "identical"});
+              "labels", "identical"});
   gate.set_title("warm_start (deterministic columns)");
 
   Stopwatch total;
@@ -296,11 +296,11 @@ int main(int argc, char** argv) {
   run_row(Config{"update-dp", 0, true, 96},
           DeltaSize{"star96_delta_1", 1});
 
-  // Bursty batches: 8 arms of the 96-star dirty in ONE batch.  The
-  // rolling changed-cell footprint (dp::RollingDiffBudget) keeps the
-  // root-path joins lazy across the whole burst where a per-slot ratio
-  // bail would fall back to full joins — the cells_skipped column pins
-  // the spliced volume alongside the usual identity/work gates.
+  // Bursty batches: 8 arms of the 96-star dirty in ONE batch.  For
+  // update-dp the rolling changed-cell footprint (dp::RollingDiffBudget)
+  // keeps the root-path joins lazy across the whole burst where a per-slot
+  // ratio bail would fall back to full joins — the cells_skipped column
+  // pins the spliced volume alongside the usual identity/work gates.
   run_row(Config{"power-sym", 0, false, 96}, DeltaSize{"star96_burst8", 8});
   run_row(Config{"update-dp", 0, true, 96}, DeltaSize{"star96_burst8", 8});
 

@@ -32,32 +32,42 @@
 // that pass an empty span, which always selects the full sweep — so
 // legacy no-hint callers keep their correctness unconditionally.
 //
-// Engine parameters that shape the tables (mode capacities, W) are folded
-// into a params signature; any change wipes the cache, so a session never
-// mixes tables across incompatible solves.
+// Engine parameters that shape the tables are folded into a params
+// signature: W for the MinCost DP; for the power DPs the mode capacities
+// and also the mode powers and cost coefficients, because they price the
+// labels that pruning compares (core/pareto_root.h).  Any change wipes the
+// cache, so a session never mixes tables across incompatible solves and a
+// warm solve prunes exactly like its cold twin.
 //
 // Snapshot format (core/dp_snapshot.h + support/binio.h): a SubtreeCache
 // serializes to an endian-stable binary record so a SolveSession can be
 // saved to disk and restored warm after a process restart or a shard
-// migration.  Layout (all scalars little-endian):
+// migration.  Layout (all scalars little-endian, format version 4):
 //
 //   per cache:  params count + values, node count n, then per node:
 //     NodeSignature (client_mass u64, original_mode i32),
 //     valid u8, resumable u8, dirty_count u64,
-//     the engine NodeState — every field including the merge-tree slot
-//     snapshots (Boxes as their bounds vectors, ArenaTables as length +
-//     elements, Decisions as left/right/mode);
+//     the engine NodeState:
+//       power DPs — the folded label table, incl_bounds, then the slot
+//         count and every merge-plan slot's label table; a label table is
+//         its box bounds, a label count, and per label flow u64, flat
+//         u32, operand positions u32 u32 and mode i8;
+//       MinCost DP — eb, nb, the folded flow table, the slot decisions,
+//         slot_eb, slot_nb and the slot flow tables (PackedTable /
+//         PackedDecisions encodings);
 //   then the last_touched hint (known u8, count, NodeIds).
 //
 // The enclosing session file adds a magic ("TPSNAP01"), a format version,
 // the topology's structural_hash, and a CRC32 trailer; restore rejects any
-// mismatch or truncation as a whole (no partial restore).  Because the
-// signatures, validity flags, dirty counts and the last_touched hint all
-// round-trip, a restored cache plans exactly the warm solve the in-memory
-// cache would have — work counters and results are bit-identical.
+// mismatch or truncation as a whole (no partial restore), and an older
+// version starts the session cold.  Because the signatures, validity
+// flags, dirty counts and the last_touched hint all round-trip, a restored
+// cache plans exactly the warm solve the in-memory cache would have —
+// work counters and results are bit-identical.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -66,6 +76,7 @@
 
 #include "core/dp_util.h"
 #include "core/merge_kernel.h"
+#include "model/cost.h"
 #include "model/modes.h"
 #include "tree/scenario.h"
 #include "tree/scenario_delta.h"
@@ -122,153 +133,76 @@ inline std::size_t packed_decisions_bytes(
 
 }  // namespace detail
 
-/// Per-node state of the power DPs (exact and symmetric share the shape):
-/// the final table (children combined along the merge tree, client mass
-/// folded in), the bounds the parent's merge sees, and the per-slot
-/// decision records the reconstruction walks.  The tree root is the
-/// exception: it keeps neither a final table nor its last merge slot —
-/// the root join pairs that step's two operand slots instead
-/// (core/pareto_root.h) — so its operand slots are what its cache entry
-/// is for.  Cached solves additionally
-/// keep every slot's box and flow table — the subtree-resume substrate: a
-/// warm re-solve rebuilds only the dirty leaves and the internal slots on
-/// their root paths, splicing the snapshots in everywhere else.
-struct PowerNodeState {
+/// One label of a power-DP table: a count vector (its flat index in the
+/// table's box), the least flow leaving the partial subtree with those
+/// counts, and the decision that produced that flow.  In a merge-plan
+/// slot, `dec` holds the two operand labels' positions (internal slot) or
+/// the child's folded label and the mode of a replica on the child (leaf
+/// slot); a folded table's label carries its root-slot label's decision.
+struct Label {
+  RequestCount flow = 0;
+  std::uint32_t flat = 0;
+  Decision dec;
+};
+
+/// A label table: the box of every count vector it can hold, and its
+/// non-dominated labels (core/pareto_root.h) in ascending flat order.
+/// A list never holds more labels than its box has valid cells — the
+/// count-vector table of the paper's DP — so Theorem 3's polynomial bound
+/// still holds; pruning only shrinks it (to a few dozen labels on the
+/// benchmark trees, against thousands of valid cells).
+struct LabelTable {
   Box box;
-  ArenaTable<RequestCount> flow;
-  std::vector<int> incl_bounds;
-  /// One entry per merge-plan slot (leaves first, then steps in execution
-  /// order).  Decisions are kept by every solve (reconstruction needs
-  /// them); boxes/flows only by cached solves (see drop_snapshots()).
-  /// Tables are arena-backed: the owning SubtreeCache's arena (or a
-  /// solver-local arena for one-shot solves) holds the storage.
-  std::vector<ArenaTable<Decision>> slot_decisions;
-  std::vector<Box> slot_boxes;
-  std::vector<ArenaTable<RequestCount>> slot_flows;
+  std::vector<Label> labels;
 
-  /// Lossless compaction: flow tables move into PackedTable encodings,
-  /// decision tables into PackedDecisions, and their arena blocks are
-  /// returned.  Boxes and bounds stay unpacked (cheap, and the dirtiness
-  /// planner reads them).  Engines call SubtreeCache::ensure_unpacked
-  /// before reading or rebuilding a node — including reconstruction,
-  /// which walks decisions.  Packing commits per node only when the
-  /// encoding is actually smaller than the arena blocks it frees — tiny
-  /// tables (one-cell leaf slots) stay arena-backed rather than paying
-  /// the per-encoding bookkeeping, so compact() never grows a node.
-  bool packed = false;
-  PackedTable packed_flow;
-  std::vector<PackedTable> packed_slot_flows;
-  std::vector<PackedDecisions> packed_slot_decisions;
-
-  void pack(TableArena& arena) {
-    if (packed) return;
-    PackedTable pf = PackedTable::pack(flow.span());
-    std::vector<PackedTable> psf(slot_flows.size());
-    for (std::size_t k = 0; k < slot_flows.size(); ++k) {
-      psf[k] = PackedTable::pack(slot_flows[k].span());
-    }
-    std::vector<PackedDecisions> psd(slot_decisions.size());
-    for (std::size_t k = 0; k < slot_decisions.size(); ++k) {
-      // Elide dead cells behind the slot flow's validity runs when the
-      // companion table is still resident (it is not after snapshots were
-      // shed); dense otherwise.
-      if (k < slot_flows.size() &&
-          slot_flows[k].size() == slot_decisions[k].size()) {
-        psd[k] = PackedDecisions::pack(slot_decisions[k].span(),
-                                       slot_flows[k].span());
-      } else {
-        psd[k] = PackedDecisions::pack(slot_decisions[k].span());
-      }
-    }
-    std::size_t unpacked_bytes = flow.capacity_bytes();
-    for (const auto& t : slot_flows) unpacked_bytes += t.capacity_bytes();
-    for (const auto& t : slot_decisions) unpacked_bytes += t.capacity_bytes();
-    std::size_t packed_bytes = pf.heap_bytes() +
-                               detail::vector_bytes(psf) +
-                               detail::vector_bytes(psd);
-    for (const auto& p : psf) packed_bytes += p.heap_bytes();
-    for (const auto& p : psd) packed_bytes += p.heap_bytes();
-    if (packed_bytes >= unpacked_bytes) return;
-    packed_flow = std::move(pf);
-    flow.clear(arena);
-    packed_slot_flows = std::move(psf);
-    for (auto& t : slot_flows) t.clear(arena);
-    packed_slot_decisions = std::move(psd);
-    for (auto& t : slot_decisions) t.clear(arena);
-    packed = true;
-  }
-
-  void unpack(TableArena& arena) {
-    if (!packed) return;
-    flow.resize_uninit(arena, packed_flow.cells());
-    packed_flow.unpack(flow.span());
-    packed_flow.clear();
-    TREEPLACE_DCHECK(slot_flows.size() == packed_slot_flows.size());
-    for (std::size_t k = 0; k < packed_slot_flows.size(); ++k) {
-      slot_flows[k].resize_uninit(arena, packed_slot_flows[k].cells());
-      packed_slot_flows[k].unpack(slot_flows[k].span());
-    }
-    packed_slot_flows.clear();
-    packed_slot_flows.shrink_to_fit();
-    TREEPLACE_DCHECK(slot_decisions.size() == packed_slot_decisions.size());
-    for (std::size_t k = 0; k < packed_slot_decisions.size(); ++k) {
-      slot_decisions[k].resize_uninit(arena,
-                                      packed_slot_decisions[k].cells());
-      packed_slot_decisions[k].unpack(slot_decisions[k].span());
-    }
-    packed_slot_decisions.clear();
-    packed_slot_decisions.shrink_to_fit();
-    packed = false;
-  }
-
-  /// Frees the merge-tree snapshots (slot boxes/flows), keeping the final
-  /// table and decisions: the node can still be spliced in whole while
-  /// clean, but a dirty re-solve falls back to a full rebuild.
-  void drop_snapshots(TableArena& arena) noexcept {
-    slot_boxes.clear();
-    slot_boxes.shrink_to_fit();
-    detail::release_arena_tables(slot_flows, arena);
-    packed_slot_flows.clear();
-    packed_slot_flows.shrink_to_fit();
-  }
-
-  /// Returns every arena block and resets the state to empty.
-  void release(TableArena& arena) noexcept {
-    drop_snapshots(arena);
-    flow.clear(arena);
-    packed_flow.clear();
-    packed_slot_decisions.clear();
-    packed_slot_decisions.shrink_to_fit();
-    packed = false;
-    detail::release_arena_tables(slot_decisions, arena);
-    box = Box();
-    incl_bounds.clear();
-    incl_bounds.shrink_to_fit();
-  }
-
-  std::size_t snapshot_bytes() const {
-    std::size_t total = detail::vector_bytes(slot_boxes);
-    for (const Box& b : slot_boxes) {
-      total += detail::vector_bytes(b.bounds()) + b.dims() * sizeof(size_t);
-    }
-    return total + detail::arena_tables_bytes(slot_flows) +
-           detail::packed_tables_bytes(packed_slot_flows);
-  }
-  std::size_t total_bytes() const {
-    return snapshot_bytes() + flow.capacity_bytes() +
-           packed_flow.heap_bytes() + detail::vector_bytes(incl_bounds) +
-           detail::arena_tables_bytes(slot_decisions) +
-           detail::packed_decisions_bytes(packed_slot_decisions);
+  std::size_t bytes() const {
+    return detail::vector_bytes(labels) +
+           detail::vector_bytes(box.bounds()) +
+           box.dims() * sizeof(std::size_t);
   }
 };
 
-/// Per-node state of the MinCost-WithPre DP; same slot layout as
-/// PowerNodeState with (eb, nb) bound pairs in place of boxes (a slot's
-/// table is a flat array over Box({eb, nb}), i.e. indexed e*(nb+1)+n).
-/// Decisions use the shared dp::Decision record — for internal slots the
-/// two operand flats, for leaf slots `right` = the child's flat and `mode`
-/// = 1 when a replica sits on the child itself — so MinCost merges run
-/// through the same join kernel as the power DPs.
+/// Per-node state of the power DPs (exact and symmetric share the shape):
+/// the folded table (children combined along the merge tree, client mass
+/// folded in), the bounds the parent's leaf box sees, and one label table
+/// per merge-plan slot.  The slot tables are at once the decisions the
+/// reconstruction walks and the snapshots a warm re-solve resumes from:
+/// it rebuilds only the dirty leaves and the internal slots on their root
+/// paths.  The tree root keeps neither a folded table nor its last merge
+/// slot — the root join pairs that step's two operand slots instead
+/// (core/pareto_root.h).  Labels are plain heap vectors: the arena, the
+/// packed encodings and snapshot shedding serve the dense MinCost tables
+/// only, so the hooks below that take them are no-ops.
+struct PowerNodeState {
+  LabelTable table;
+  std::vector<int> incl_bounds;
+  std::vector<LabelTable> slots;  ///< one per merge-plan slot
+
+  static constexpr bool packed = false;
+  void pack(TableArena&) {}
+  void unpack(TableArena&) {}
+  /// Nothing to shed: the slot tables hold the decisions.  The cache still
+  /// clears the node's resumable flag, so its next dirty solve rebuilds
+  /// every slot.
+  void drop_snapshots(TableArena&) noexcept {}
+  void release(TableArena&) noexcept { *this = PowerNodeState(); }
+
+  std::size_t snapshot_bytes() const { return 0; }
+  std::size_t total_bytes() const {
+    std::size_t total = table.bytes() + detail::vector_bytes(incl_bounds) +
+                        detail::vector_bytes(slots);
+    for (const LabelTable& t : slots) total += t.bytes();
+    return total;
+  }
+};
+
+/// Per-node state of the MinCost-WithPre DP: the folded flow table and
+/// one dense table per merge-plan slot, over (eb, nb) bound pairs (a
+/// slot's table is a flat array over Box({eb, nb}), i.e. indexed
+/// e*(nb+1)+n).  Decisions use the shared dp::Decision record — for
+/// internal slots the two operand flats, for leaf slots `right` = the
+/// child's flat and `mode` = 1 when a replica sits on the child itself —
+/// so merges run through the join kernel (core/merge_kernel.h).
 struct MinCostNodeState {
   int eb = 0;  ///< pre-existing nodes strictly below
   int nb = 0;  ///< non-pre-existing internal nodes strictly below
@@ -280,8 +214,14 @@ struct MinCostNodeState {
   std::vector<int> slot_nb;
   std::vector<ArenaTable<RequestCount>> slot_flows;  ///< cached solves only
 
-  /// Lossless compaction; see PowerNodeState::pack (same smaller-only
-  /// commit rule).
+  /// Lossless compaction: flow tables move into PackedTable encodings,
+  /// decision tables into PackedDecisions, and their arena blocks are
+  /// returned.  The solver calls SubtreeCache::ensure_unpacked before
+  /// reading or rebuilding a node — including reconstruction, which walks
+  /// decisions.  Packing commits per node only when the encoding is
+  /// actually smaller than the arena blocks it frees — tiny tables
+  /// (one-cell leaf slots) stay arena-backed rather than paying the
+  /// per-encoding bookkeeping, so compact() never grows a node.
   bool packed = false;
   PackedTable packed_flow;
   std::vector<PackedTable> packed_slot_flows;
@@ -540,13 +480,22 @@ using PowerSubtreeCache = SubtreeCache<PowerNodeState>;
 using MinCostSubtreeCache = SubtreeCache<MinCostNodeState>;
 
 /// The params signature of the power DPs: the mode capacities (they drive
-/// box dimensionality, merge feasibility and mode_for_load).  Costs and
-/// powers only price the root scan, recomputed every solve.
-inline std::vector<std::uint64_t> capacity_params(const ModeSet& modes) {
+/// box dimensionality, merge feasibility and mode_for_load), and the mode
+/// powers and cost coefficients (they price the labels that pruning
+/// compares, and derive its margins), so a warm solve prunes exactly like
+/// its cold twin.
+inline std::vector<std::uint64_t> capacity_params(const ModeSet& modes,
+                                                  const CostModel& costs) {
   std::vector<std::uint64_t> params;
-  params.reserve(static_cast<std::size_t>(modes.count()));
+  const auto bits = [&params](double v) {
+    params.push_back(std::bit_cast<std::uint64_t>(v));
+  };
   for (int w = 0; w < modes.count(); ++w) {
     params.push_back(static_cast<std::uint64_t>(modes.capacity(w)));
+    bits(modes.power(w));
+    bits(costs.create(w));
+    bits(costs.del(w));
+    for (int o = 0; o < modes.count(); ++o) bits(costs.changed(o, w));
   }
   return params;
 }
@@ -605,39 +554,6 @@ inline SlotDirtiness plan_slot_dirtiness(const DirtyPlan& plan,
     }
   }
   return slots;
-}
-
-/// Whether a lazy join (see dp::join_slots) is sure to visit fewer pairs
-/// than the full join it replaces, given the operands' changed-cell
-/// counts.  The lazy path's worst case is its changed sweeps plus a rescue
-/// pass that re-scans every left entry per rescued cell.  Rescued cells
-/// are capped at |right| / 8 + 16, and each one's previous winner paired
-/// a changed cell, so there are at most cl x (|right| + cr) + |left| x cr
-/// of them.  The full join counts |left| x |right box| pairs when it
-/// sweeps the right operand densely, |left| x |right| otherwise.  On
-/// small tables the cap's floor alone can exceed the full join, so
-/// without this check a warm solve of a small tree could do more DP work
-/// than its cold twin.  The power engines ask before offering a lazy
-/// context.
-inline bool lazy_join_pays(const JoinInputs& in, std::size_t changed_left,
-                           std::size_t changed_right) {
-  const auto valid = [](std::span<const RequestCount> flow) {
-    return static_cast<std::uint64_t>(
-        flow.size() - static_cast<std::size_t>(
-                          std::count(flow.begin(), flow.end(), kInvalidFlow)));
-  };
-  const std::uint64_t nl = valid(in.lflow);
-  const std::uint64_t nr = valid(in.rflow);
-  const std::uint64_t cl = changed_left;
-  const std::uint64_t cr = changed_right;
-  const std::uint64_t rescued =
-      std::min<std::uint64_t>(nr / 8 + 16, cl * (nr + cr) + nl * cr);
-  const std::uint64_t lazy_worst = cl * nr + nl * cr + cl * cr + rescued * nl;
-  const std::uint64_t rsize = in.rflow.size();
-  const bool dense = static_cast<double>(nr) >=
-                     kernel_config().dense_occupancy *
-                         static_cast<double>(rsize);
-  return lazy_worst < nl * (dense ? rsize : nr);
 }
 
 /// Internal nodes a delta span can touch: the parent of an edited client,

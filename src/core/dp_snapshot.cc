@@ -177,37 +177,52 @@ void read_table_vec(binio::Reader& r, TableArena& arena,
   for (std::uint32_t i = 0; i < n; ++i) read_one(r, arena, out[i]);
 }
 
-void write_state(binio::Writer& w, const PowerNodeState& s) {
-  write_box(w, s.box);
-  // A packed state's encodings are written verbatim (its arena tables are
-  // empty handles); pack() keeps slot_flows sized, so the counts agree.
-  if (s.packed) {
-    write_packed_table(w, s.packed_flow);
-  } else {
-    write_flow_table(w, s.flow);
-  }
-  write_int_vec(w, s.incl_bounds);
-  write_decision_tables(w, s);
-  w.u32(static_cast<std::uint32_t>(s.slot_boxes.size()));
-  for (const Box& b : s.slot_boxes) write_box(w, b);
-  w.u32(static_cast<std::uint32_t>(s.slot_flows.size()));
-  if (s.packed) {
-    for (const auto& p : s.packed_slot_flows) write_packed_table(w, p);
-  } else {
-    for (const auto& t : s.slot_flows) write_flow_table(w, t);
+// A label table travels as its box bounds, then per label its flow,
+// flat, operand positions and mode.
+void write_label_table(binio::Writer& w, const LabelTable& t) {
+  write_box(w, t.box);
+  w.u32(static_cast<std::uint32_t>(t.labels.size()));
+  for (const Label& l : t.labels) {
+    w.u64(l.flow);
+    w.u32(l.flat);
+    w.u32(l.dec.left);
+    w.u32(l.dec.right);
+    w.i8(l.dec.mode);
   }
 }
 
-void read_state(binio::Reader& r, TableArena& arena, PowerNodeState& s) {
-  s.box = read_box(r);
-  read_flow_table(r, arena, s.flow);
+void read_label_table(binio::Reader& r, LabelTable& t) {
+  t.box = read_box(r);
+  const std::uint32_t n = r.u32();
+  // A list never outgrows its box (see LabelTable); 21 bytes per label.
+  TREEPLACE_CHECK_MSG(n <= t.box.size() && n <= r.remaining_bytes() / 21,
+                      "snapshot label table too large");
+  t.labels.resize(n);
+  for (Label& l : t.labels) {
+    l.flow = r.u64();
+    l.flat = r.u32();
+    TREEPLACE_CHECK_MSG(l.flat < t.box.size(), "snapshot label out of box");
+    l.dec.left = r.u32();
+    l.dec.right = r.u32();
+    l.dec.mode = r.i8();
+  }
+}
+
+void write_state(binio::Writer& w, const PowerNodeState& s) {
+  write_label_table(w, s.table);
+  write_int_vec(w, s.incl_bounds);
+  w.u32(static_cast<std::uint32_t>(s.slots.size()));
+  for (const LabelTable& t : s.slots) write_label_table(w, t);
+}
+
+void read_state(binio::Reader& r, TableArena&, PowerNodeState& s) {
+  read_label_table(r, s.table);
   s.incl_bounds = read_int_vec(r);
-  read_table_vec(r, arena, s.slot_decisions, read_decision_table);
-  const std::uint32_t boxes = r.u32();
-  TREEPLACE_CHECK_MSG(boxes <= kMaxSlots, "snapshot slot count too large");
-  s.slot_boxes.resize(boxes);
-  for (std::uint32_t i = 0; i < boxes; ++i) s.slot_boxes[i] = read_box(r);
-  read_table_vec(r, arena, s.slot_flows, read_flow_table);
+  const std::uint32_t slots = r.u32();
+  TREEPLACE_CHECK_MSG(slots <= kMaxSlots && slots <= r.remaining_bytes() / 8,
+                      "snapshot slot count too large");
+  s.slots.resize(slots);
+  for (LabelTable& t : s.slots) read_label_table(r, t);
 }
 
 void write_state(binio::Writer& w, const MinCostNodeState& s) {

@@ -28,10 +28,12 @@ namespace treeplace::dp {
 /// (run-length dead-cell elision + narrow cells) instead of flat u64
 /// arrays.  Version 3: the power DPs' root node stores no folded table and
 /// no root merge slot (the root join pairs the operand slots instead, see
-/// core/pareto_root.h).  Older files are rejected whole (sessions then
-/// start cold).
+/// core/pareto_root.h).  Version 4: the power DPs' tables are label lists
+/// (box bounds plus flow, flat and decision per label) and their params
+/// carry the mode powers and cost coefficients.  Older files are rejected
+/// whole (sessions then start cold).
 inline constexpr char kSnapshotMagic[9] = "TPSNAP01";
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 void save_cache(binio::Writer& w, const PowerSubtreeCache& cache);
 void save_cache(binio::Writer& w, const MinCostSubtreeCache& cache);

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -202,26 +201,6 @@ class MergePlanCache {
 
  private:
   std::unordered_map<std::size_t, MergePlan> plans_;
-};
-
-/// Lazily-created worker pool for solver-internal parallelism: no thread is
-/// spawned until the first merge large enough to shard, so small instances
-/// pay nothing for a threads > 1 knob.  One LazyPool lives per top-level
-/// solve; its workers are reused across every merge of that solve.
-class LazyPool {
- public:
-  explicit LazyPool(std::size_t threads) : threads_(threads) {}
-
-  /// The pool, or nullptr when threads < 2 (serial solve).
-  ThreadPool* get() {
-    if (threads_ < 2) return nullptr;
-    if (!pool_) pool_ = std::make_unique<ThreadPool>(threads_);
-    return pool_.get();
-  }
-
- private:
-  std::size_t threads_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 /// Smallest (left x right) pair count worth sharding across threads; below

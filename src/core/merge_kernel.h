@@ -1,10 +1,11 @@
 // The merge-kernel layer: arena-backed DP tables and the min-plus join.
 //
-// Every DP engine in this library spends its time in one loop (paper
-// Lemma 1 / Section 3.3): joining two per-child tables under the min-flow-
-// per-count-vector semiring, `flow[le.dot + re.dot] = min(flow, le.flow +
-// re.flow)` below the W_M feasibility cut.  This layer owns that loop so
-// the three engines cannot diverge on its contract:
+// The MinCost DP (update-dp) spends its time in one loop (paper Lemma 1 /
+// Section 3.3): joining two per-child tables under the min-flow-per-count-
+// vector semiring, `flow[le.dot + re.dot] = min(flow, le.flow + re.flow)`
+// below the W_M feasibility cut.  This layer owns that loop and its
+// contract; the power DPs join label lists instead (core/pareto_root.h)
+// under the same first-occurrence tie-break:
 //
 //   * Arena tables (TableArena / ArenaTable): flow and decision storage is
 //     bump-allocated in cache-line-aligned blocks recycled through
@@ -171,8 +172,8 @@ class ArenaTable {
 /// or below the largest mode capacity, so most tables pack to u16/u32).
 /// pack()/unpack() round-trip bit-exactly; packing cached DP state is
 /// therefore invisible to solve results and only shrinks resident session
-/// bytes (the 2-4x reduction gated by bench/day_serve) and on-disk
-/// session snapshots (core/dp_snapshot.h serializes flow tables packed).
+/// bytes and on-disk session snapshots (core/dp_snapshot.h serializes
+/// flow tables packed).
 class PackedTable {
  public:
   struct Run {

@@ -1,31 +1,37 @@
-// The Pareto root join of the power DPs.
+// Pareto label machinery of the power DPs: dominance pruning and the root
+// join.
 //
-// The root's frontier needs only a few points, yet joining its last
-// merge-plan step into a full table is the largest join of a solve by
-// far (~160k cells on the aggregated 400-node benchmark tree, 89% of a
-// cold solve's pairs).  The power engines therefore never build that
-// table: they pair the two operand slots' *non-dominated* cells instead.
+// The power engines store every merge-plan slot and folded node table as a
+// short list of labels (core/dp_cache.h): a count vector, its least flow
+// and the decision behind it.  After every leaf expansion and join a list
+// is pruned to its non-dominated labels, and the root pairs its two
+// operand lists directly instead of building its last table.
 //
-// Why pruning an operand cell is exact: a candidate's cost and power are
-// linear in its count vector (plus a constant), so a cell has a partial
-// cost and a partial power, and both add across the join.  If cell a'
-// has a flow no larger than cell a and a partial cost and partial power
-// each lower by more than a tolerance, then for every completion (the
-// other operand's cell b, the root's own option) a' + b is feasible
-// whenever a + b is — it even admits every root mode a + b does — and is
-// strictly better in both objectives.  The frontier sweep (ascending
-// cost, strictly descending power) therefore never keeps a candidate
-// built on a: dropping it changes neither the frontier values nor which
-// witness is chosen.  The same holds when a' and a share a cost key
-// (their candidates then cost bit-identically) and a' has the lower
-// power by more than the tolerance.
+// Why pruning is exact: a candidate's cost and power are linear in its
+// count vector (plus a constant), so a label has a partial cost and a
+// partial power, and both add across every later join, expansion and
+// fold.  If label a' has a flow no larger than label a and a partial cost
+// and partial power each lower by more than a tolerance, then for every
+// completion (the rest of the tree, the root's own option) the solution
+// built on a' is feasible whenever the one built on a is — a smaller flow
+// admits every server mode and passes every W_M cut a larger one does —
+// and is strictly better in both objectives.  The frontier sweep
+// (ascending cost, strictly descending power) therefore never keeps a
+// candidate built on a: dropping it changes neither the frontier values
+// nor which witness is chosen.  The same holds when a' and a share a cost
+// key (their candidates then cost bit-identically) and a' has the lower
+// power by more than the tolerance.  The labels a frontier witness is
+// built from are never dominated, so each keeps the flow and the
+// first-occurrence decision the unpruned count-vector table gives it.
 //
 // The tolerance is what keeps near-ties exact.  Two count vectors can
 // price to the same real cost yet round one ulp apart (10.25 against
 // 10.250000000000002); pruning on exact ties or on rounding-level
 // differences would let the rounding decide which of them survives and
-// can lose the one the full scan's comparator picks.  A cell is dropped
+// can lose the one the full scan's comparator picks.  A label is dropped
 // only when it is worse by more than the tolerance in *both* criteria.
+// The tolerances depend only on the topology size, the modes and the
+// costs — what the cache params key — so warm and cold solves prune alike.
 #pragma once
 
 #include <cmath>
@@ -45,28 +51,14 @@
 
 namespace treeplace::dp {
 
-/// One non-dominated cell of a root-join operand.
-struct RootCell {
-  std::uint32_t flat = 0;  ///< index in the operand slot's box
-  RequestCount flow = 0;
-  /// Digit dot-product against the root box strides: two cells' dots add
-  /// to the flat index of their join in the root box.
-  std::uint64_t dot = 0;
-  double cost = 0.0;   ///< partial cost (see RootPricing)
-  double power = 0.0;  ///< partial power: sum of digit x power coefficient
-  /// Mixed-radix code of the cell's cost-group sums: equal keys mean equal
-  /// group sums, hence bit-identical candidate costs for every completion.
-  std::uint64_t cost_key = 0;
-};
-
-/// How the root-join operand cells are priced.  Each box dimension adds
-/// its digit to one cost group; a cell's partial cost is the sum over
-/// groups of (group digit sum x group coefficient), always evaluated in
-/// group order, so cells with equal group sums price bit-identically.
-/// The symmetric DP groups its per-mode server dimensions (its candidate
-/// cost depends only on the server total and the same/changed reuse
-/// counts); the exact DP gives every dimension its own group.
-struct RootPricing {
+/// How labels are priced for pruning.  Each box dimension adds its digit
+/// to one cost group; a label's partial cost is the sum over groups of
+/// (group digit sum x group coefficient), always evaluated in group
+/// order, so labels with equal group sums price bit-identically.  The
+/// symmetric DP groups its per-mode server dimensions (its candidate cost
+/// depends only on the server total and the same/changed reuse counts);
+/// the exact DP gives every dimension its own group.
+struct LabelPricing {
   std::vector<std::uint32_t> cost_group;  ///< per dimension
   std::vector<double> group_cost;         ///< per group
   std::vector<double> power_coef;         ///< per dimension
@@ -74,10 +66,35 @@ struct RootPricing {
   double power_tol = 0.0;
 };
 
+/// Reusable buffers of prune_labels.
+struct PruneScratch {
+  struct Priced {
+    RequestCount flow = 0;
+    double cost = 0.0;
+    double power = 0.0;
+    std::uint64_t cost_key = 0;
+  };
+  std::vector<Priced> priced;
+  std::vector<std::uint32_t> kept;
+  std::vector<int> digits;
+  std::vector<std::uint64_t> sums;
+  std::vector<std::uint64_t> key_weight;
+};
+
+/// Prunes `labels` (count vectors over `box`, ascending flat, one label
+/// per flat) to its non-dominated set, keeping ascending flat order.
+/// Label a' dominates a when a'.flow <= a.flow, a'.power < a.power -
+/// power_tol, and a'.cost < a.cost - cost_tol or the two share a cost key.
+/// Dominance is a strict partial order (the margins add up along a chain,
+/// and a key-equal link keeps the cost), so the result is its set of
+/// maximal elements whatever the scan order.
+void prune_labels(const Box& box, const LabelPricing& pricing,
+                  std::vector<Label>& labels, PruneScratch& scratch);
+
 /// The root join's operand slots: the last merge-plan step's two
 /// operands; a root with one internal child has its leaf slot on the left
 /// only, a childless root has neither.  kNoSlot stands for the single
-/// empty cell (flow 0, all counts 0).
+/// empty label (flow 0, all counts 0).
 struct RootOperands {
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
   std::uint32_t left = kNoSlot;
@@ -95,9 +112,9 @@ inline RootOperands root_operands(const MergePlan& mplan) {
 }
 
 /// The root keeps no folded table: every solve's root join reads its
-/// operand slots, so a clean root whose slot snapshots were shed (or never
-/// restored) must be rebuilt instead of spliced.  Patches a planned solve
-/// accordingly.
+/// operand slots, so a clean root whose cache entry is not resumable (its
+/// slots were shed, or never restored) must be rebuilt instead of
+/// spliced.  Patches a planned solve accordingly.
 inline void require_root_operands(const Topology& topo,
                                   PowerSubtreeCache* cache, DirtyPlan& plan) {
   const std::size_t ri = topo.internal_index(topo.root());
@@ -107,21 +124,11 @@ inline void require_root_operands(const Topology& topo,
   cache->invalidate(ri);
 }
 
-/// The box a full join of the root's operands would fill (their bounds
-/// added up; all-zero for a childless root).  Candidate flats index this
-/// box, so they tie-break exactly as that join's output cells would.
-Box root_box(const PowerNodeState& s, const RootOperands& ops,
-             std::size_t dims);
-
-/// The non-dominated valid cells of one operand slot of the root's state
-/// (kNoSlot: the single empty cell), in ascending flat order.  Cell a'
-/// dominates a when a'.flow <= a.flow, a'.power < a.power - power_tol,
-/// and a'.cost < a.cost - cost_tol or the two share a cost key.  Adds the
-/// scan's work — operand cells visited plus dominance tests run — to
-/// `scan_work`.
-void root_operand_cells(const PowerNodeState& s, std::uint32_t slot,
-                        const Box& root_box, const RootPricing& pricing,
-                        std::vector<RootCell>& out, std::uint64_t& scan_work);
+/// Appends, per label of `table`, its digit dot-product against
+/// `target`'s strides (target has at least the table's dimensions): two
+/// labels' dots add to the flat index of their join in `target`.
+void label_dots(const LabelTable& table, const Box& target,
+                std::vector<std::uint64_t>& out);
 
 /// One candidate of the root join: a feasible pair of kept operand cells
 /// completed by one of the root's own options.
@@ -132,44 +139,42 @@ struct RootCandidate {
   std::int8_t root_mode = -1;  ///< -1: no server at root
   int servers = 0;
   RequestCount flow = 0;   ///< open flow at the root, client mass folded
-  std::uint32_t left = 0;  ///< operand cells (see RootOperands)
+  std::uint32_t left = 0;  ///< operand labels' positions (see RootOperands)
   std::uint32_t right = 0;
 };
 
-/// Pairs every kept left cell with every kept right cell under the W_M
-/// cut, with the root's client mass `base` folded in, and expands each
-/// feasible pair into the root's own options: no server (only when the
-/// folded flow is 0) and a server at every mode that can carry it.
-/// `add_root_server(counts, w)` bumps the count-vector dimensions of a
-/// root server at mode w; `price(counts, flat, w)` is the engine's
-/// make_candidate (cost, power, servers, flat and root mode filled).
-/// Counts the pairs visited into `pairs`.
+/// Pairs every left label with every right label under the W_M cut, with
+/// the root's client mass `base` folded in, and expands each feasible pair
+/// into the root's own options: no server (only when the folded flow is 0)
+/// and a server at every mode that can carry it.  `ldot`/`rdot` are the
+/// labels' dots against `root_box` (label_dots).  `add_root_server(counts,
+/// w)` bumps the count-vector dimensions of a root server at mode w;
+/// `price(counts, flat, w)` is the engine's make_candidate (cost, power,
+/// servers, flat and root mode filled).  Counts the pairs visited into
+/// `pairs`.
 template <typename AddRootServer, typename Price>
-std::vector<RootCandidate> pair_root_cells(std::span<const RootCell> left,
-                                           std::span<const RootCell> right,
-                                           const Box& root_box,
-                                           RequestCount base,
-                                           const ModeSet& modes,
-                                           std::uint64_t& pairs,
-                                           AddRootServer&& add_root_server,
-                                           Price&& price) {
+std::vector<RootCandidate> pair_root_labels(
+    std::span<const Label> left, std::span<const std::uint64_t> ldot,
+    std::span<const Label> right, std::span<const std::uint64_t> rdot,
+    const Box& root_box, RequestCount base, const ModeSet& modes,
+    std::uint64_t& pairs, AddRootServer&& add_root_server, Price&& price) {
   const RequestCount w_max = modes.max_capacity();
   std::vector<RootCandidate> candidates;
   std::vector<int> digits(root_box.dims());
   std::vector<int> counts(root_box.dims());
-  for (const RootCell& a : left) {
-    for (const RootCell& b : right) {
+  for (std::size_t a = 0; a < left.size(); ++a) {
+    for (std::size_t b = 0; b < right.size(); ++b) {
       ++pairs;
-      const RequestCount joined = a.flow + b.flow;
+      const RequestCount joined = left[a].flow + right[b].flow;
       if (joined > w_max || joined + base > w_max) continue;
       const RequestCount f = joined + base;
-      const std::size_t flat = static_cast<std::size_t>(a.dot + b.dot);
+      const std::size_t flat = static_cast<std::size_t>(ldot[a] + rdot[b]);
       root_box.decode(flat, digits);
       const auto add = [&](std::int8_t w) {
         RootCandidate c = price(counts, flat, w);
         c.flow = f;
-        c.left = a.flat;
-        c.right = b.flat;
+        c.left = static_cast<std::uint32_t>(a);
+        c.right = static_cast<std::uint32_t>(b);
         candidates.push_back(c);
       };
       if (f == 0) {
@@ -189,14 +194,15 @@ std::vector<RootCandidate> pair_root_cells(std::span<const RootCell> left,
 /// Sorts the candidates and sweeps out the Pareto frontier: ascending
 /// cost, strictly descending power (1e-9 margins), the comparator-first
 /// candidate kept on ties.  The comparator ends on the flat the full root
-/// table would have used, then (flow, left cell, right cell) — the join
-/// kernel's min-flow, first-occurrence winner — so the witness of every
-/// point is the one a full root scan would choose.
+/// table would have used, then (flow, left label, right label) — labels
+/// sit in ascending flat order, so this is the join kernel's min-flow,
+/// first-occurrence winner — and the witness of every point is the one a
+/// full root scan would choose.
 std::vector<RootCandidate> select_root_frontier(
     std::vector<RootCandidate> candidates);
 
-/// Walks a root candidate's operand cells: walk(slot, flat) for the left
-/// operand and, when the root has one, the right.  A childless root has
+/// Walks a root candidate's operand labels: walk(slot, position) for the
+/// left operand and, when the root has one, the right.  A childless root has
 /// nothing to walk.
 template <typename WalkSlot>
 void walk_root_operands(const MergePlan& mplan, const RootCandidate& c,

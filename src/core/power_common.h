@@ -55,8 +55,13 @@ inline PowerPhaseSeconds& PowerPhaseSeconds::operator-=(
 }
 
 struct PowerSolveStats {
-  std::uint64_t merge_pairs = 0;   ///< (left entry, right entry) pairs visited
-  std::uint64_t table_cells = 0;   ///< total DP cells allocated
+  /// (left label, right label) pairs visited by the slot joins and the
+  /// root join.
+  std::uint64_t merge_pairs = 0;
+  /// Labels kept by every slot built (leaf expansions and joins, after
+  /// pruning): a deterministic count of the tables' size, so a pruning
+  /// regression shows up as a counter change.
+  std::uint64_t labels = 0;
   /// Merge-plan slots actually built (leaf expansions + internal joins).
   /// A cold solve builds 2k-1 per node with k internal children; a warm
   /// solve with one dirty child builds O(log k) (see dp::MergePlan).
@@ -68,15 +73,6 @@ struct PowerSolveStats {
   /// NodeSignatures compared while planning: num_internal on the full
   /// sweep, the touched-set size on the delta fast path.
   std::uint64_t signatures_checked = 0;
-  /// Output cells spliced from snapshots by lazy root-path joins instead
-  /// of being recomputed (see core/merge_kernel.h).
-  std::uint64_t cells_skipped = 0;
-  /// Operand cells the root join's Pareto scan visited plus the dominance
-  /// tests it ran (core/pareto_root.h): the root phase's work, which
-  /// merge_pairs (its kept-pair products only) does not see.
-  std::uint64_t root_scan_work = 0;
-  /// Arena bytes holding flow/decision tables at the end of the solve.
-  std::uint64_t table_bytes = 0;
   double solve_seconds = 0.0;
   PowerPhaseSeconds phases;
 };

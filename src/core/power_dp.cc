@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/dp_util.h"
-#include "core/merge_kernel.h"
 #include "core/pareto_root.h"
 #include "support/timer.h"
 
@@ -12,22 +11,15 @@ namespace treeplace {
 
 namespace {
 
-using dp::ArenaTable;
 using dp::Box;
 using dp::Decision;
-using dp::kInvalidFlow;
-using dp::TableArena;
+using dp::Label;
 
-/// Externally ownable per-node state (see core/dp_cache.h): the final
-/// folded table, the per-slot tables of the balanced merge tree
+/// Externally ownable per-node state (see core/dp_cache.h): the folded
+/// label table, the label tables of the balanced merge tree
 /// (dp::MergePlan) over the node's children, and the box bounds including
 /// this node's own placement possibilities.
 using NodeState = dp::PowerNodeState;
-
-/// What a warm re-solve knows about a merge-plan slot's table relative to
-/// the previous solve: untouched-or-identical, changed at a known set of
-/// flats (the lazy-join input), or changed beyond tracking.
-enum class SlotDiff : std::uint8_t { kClean, kChanged, kUnknown };
 
 using dp::RootCandidate;
 
@@ -78,10 +70,13 @@ class ExactKey {
   }
 
   /// Partial cost and power per count-vector digit, and the cost
-  /// tolerance; make_candidate adds the deletion constant and the
-  /// operating cost the same way.  Its summation order depends on every
-  /// count, so each dimension is its own cost group.
-  void price_root(double units, dp::RootPricing& pricing) const {
+  /// tolerance for count vectors summing to at most `units` over a tree
+  /// with at most `max_pre` pre-existing servers; make_candidate adds the
+  /// deletion constant and the operating cost the same way.  Its
+  /// summation order depends on every count, so each dimension is its own
+  /// cost group.
+  void price_labels(double units, double max_pre,
+                    dp::LabelPricing& pricing) const {
     const std::size_t dims = this->dims();
     pricing.cost_group.resize(dims);
     pricing.group_cost.assign(dims, 0.0);
@@ -103,10 +98,8 @@ class ExactKey {
                       std::fabs(costs_.del(o))});
       }
     }
-    double pre_total = 0.0;
-    for (const int n : pre_total_per_mode_) pre_total += n;
     pricing.cost_tol =
-        dp::near_tie_tolerance((units + pre_total) * 3.0 * max_cost_term);
+        dp::near_tie_tolerance((units + max_pre) * 3.0 * max_cost_term);
   }
 
   /// Prices one root count vector: the candidate's cost, power and
@@ -195,11 +188,13 @@ class SymmetricKey {
   }
 
   /// Partial cost and power per digit, as make_candidate prices them, and
-  /// the cost tolerance: a server costs 1 + create unless reused, a reuse
-  /// swaps the create and the deletion it avoids for its changed_same/diff
-  /// price.  The candidate cost depends only on (servers, e_same,
-  /// e_changed), so the per-mode server dimensions share one cost group.
-  void price_root(double units, dp::RootPricing& pricing) const {
+  /// the cost tolerance (see ExactKey): a server costs 1 + create unless
+  /// reused, a reuse swaps the create and the deletion it avoids for its
+  /// changed_same/diff price.  The candidate cost depends only on
+  /// (servers, e_same, e_changed), so the per-mode server dimensions
+  /// share one cost group.
+  void price_labels(double units, double max_pre,
+                    dp::LabelPricing& pricing) const {
     pricing.cost_group.assign(dims(), 0);
     pricing.cost_group[dim_same()] = 1;
     pricing.cost_group[dim_changed()] = 2;
@@ -209,9 +204,8 @@ class SymmetricKey {
     for (int w = 0; w < m_; ++w) {
       pricing.power_coef[dim_mode(w)] = modes_.power(w);
     }
-    const double e_total = static_cast<double>(scen_.num_pre_existing());
     pricing.cost_tol = dp::near_tie_tolerance(
-        (units + e_total) *
+        (units + max_pre) *
         (1.0 + std::fabs(create_) + std::fabs(changed_same_) +
          std::fabs(changed_diff_) + std::fabs(delete_)));
   }
@@ -257,18 +251,17 @@ class SymmetricKey {
 
 template <typename StateOf>
 void walk_subtree(const Topology& topo, dp::MergePlanCache& plans,
-                  const StateOf& state_of, NodeId j, std::size_t flat,
+                  const StateOf& state_of, NodeId j, std::size_t label,
                   Placement& placement);
 
 /// Emits the placement below merge-plan slot `slot` of a node with state
-/// `s`, reading every descendant's state through `state_of(internal
-/// index)`.
+/// `s`, for the slot label whose decision is `d`, reading every
+/// descendant's state through `state_of(internal index)`.
 template <typename StateOf>
 void walk_slot(const Topology& topo, dp::MergePlanCache& plans,
                const StateOf& state_of, const NodeState& s,
                std::span<const NodeId> children, const dp::MergePlan& mplan,
-               std::uint32_t slot, std::size_t flat, Placement& placement) {
-  const Decision d = s.slot_decisions[slot][flat];
+               std::uint32_t slot, const Decision& d, Placement& placement) {
   if (slot < mplan.num_leaves()) {
     const NodeId c = children[slot];
     if (d.mode >= 0) placement.add(c, d.mode);
@@ -276,35 +269,33 @@ void walk_slot(const Topology& topo, dp::MergePlanCache& plans,
     return;
   }
   const dp::MergePlan::Step& step = mplan.steps()[slot - mplan.num_leaves()];
-  walk_slot(topo, plans, state_of, s, children, mplan, step.left, d.left,
-            placement);
-  walk_slot(topo, plans, state_of, s, children, mplan, step.right, d.right,
-            placement);
+  walk_slot(topo, plans, state_of, s, children, mplan, step.left,
+            s.slots[step.left].labels[d.left].dec, placement);
+  walk_slot(topo, plans, state_of, s, children, mplan, step.right,
+            s.slots[step.right].labels[d.right].dec, placement);
 }
 
-/// Emits the placement of the subtree rooted at `j` for flat index `flat`
-/// into its folded table.
+/// Emits the placement of the subtree rooted at `j` for label `label` of
+/// its folded table (which carries its root-slot label's decision).
 template <typename StateOf>
 void walk_subtree(const Topology& topo, dp::MergePlanCache& plans,
-                  const StateOf& state_of, NodeId j, std::size_t flat,
+                  const StateOf& state_of, NodeId j, std::size_t label,
                   Placement& placement) {
   const NodeState& s = state_of(topo.internal_index(j));
   const auto children = topo.internal_children(j);
-  if (children.empty()) {
-    TREEPLACE_DCHECK(flat == 0);
-    return;
-  }
+  if (children.empty()) return;
   const dp::MergePlan& mplan = plans.get(children.size());
-  walk_slot(topo, plans, state_of, s, children, mplan, mplan.root_slot(), flat,
-            placement);
+  walk_slot(topo, plans, state_of, s, children, mplan, mplan.root_slot(),
+            s.table.labels[label].dec, placement);
 }
 
 // --- The engine ------------------------------------------------------------
 
 /// The MinPower-BoundedCost DP over one count-vector key (ExactKey or
-/// SymmetricKey): per node, child tables are expanded by the child's own
-/// options and joined along a balanced merge plan; the root pairs its last
-/// step's operands directly (core/pareto_root.h).
+/// SymmetricKey): per node, child label tables are expanded by the child's
+/// own options and joined along a balanced merge plan, every table pruned
+/// to its non-dominated labels; the root pairs its last step's operands
+/// directly (core/pareto_root.h).
 template <typename Key>
 class PowerEngine {
  public:
@@ -318,18 +309,30 @@ class PowerEngine {
         costs_(costs),
         m_(modes.count()),
         dims_(key_.dims()),
-        external_pool_(options.pool),
-        lazy_pool_(options.pool ? 1 : options.threads),
         cache_(options.cache),
-        arena_(options.cache ? &options.cache->arena() : &own_arena_),
         deltas_(options.deltas),
-        local_states_(options.cache ? 0 : topo.num_internal()) {}
+        local_states_(options.cache ? 0 : topo.num_internal()) {
+    // A server adds at most two digits to a count vector (its mode and its
+    // reuse dimension), and at most one server sits on each internal node,
+    // so the margins follow from the topology size, never the scenario.
+    const double nodes = static_cast<double>(topo.num_internal());
+    const double units = 2.0 * nodes + 1.0;
+    key_.price_labels(units, nodes, pricing_);
+    double max_power = 0.0;
+    for (int w = 0; w < m_; ++w) {
+      max_power = std::max(max_power, std::fabs(modes_.power(w)));
+    }
+    pricing_.power_tol = dp::near_tie_tolerance(units * max_power);
+    empty_operand_.labels.assign(1, Label{});
+  }
 
   PowerDPResult solve() {
     Stopwatch watch;
     PowerDPResult result;
     Stopwatch phase;
-    dp::DirtyPlan plan = plan_dirty();
+    dp::DirtyPlan plan = dp::plan_warm_solve(
+        topo_, cache_, dp::capacity_params(modes_, costs_),
+        [this](NodeId j) { return signature(j); }, deltas_);
     dp::require_root_operands(topo_, cache_, plan);
     phases_.plan = phase.seconds();
     phase.reset();
@@ -368,96 +371,54 @@ class PowerEngine {
     return cache_ != nullptr ? cache_->state(i) : local_states_[i];
   }
 
-  /// Node i's state with its tables readable: a clean node spliced from a
-  /// packed cache entry is unpacked first.
-  NodeState& unpacked_state(std::size_t i) const {
-    if (cache_ != nullptr) cache_->ensure_unpacked(i);
-    return node_state(i);
-  }
-
   dp::NodeSignature signature(NodeId j) const {
     return dp::NodeSignature{
         scen_.client_mass(j),
         scen_.pre_existing(j) ? scen_.original_mode(j) : -1};
   }
 
-  dp::DirtyPlan plan_dirty() {
-    return dp::plan_warm_solve(
-        topo_, cache_, dp::capacity_params(modes_),
-        [this](NodeId j) { return signature(j); }, deltas_);
-  }
-
   void finish_stats(PowerDPResult& result, const Stopwatch& watch) const {
     result.stats.merge_pairs = merge_pairs_;
-    result.stats.table_cells = table_cells_;
+    result.stats.labels = labels_;
     result.stats.merge_steps = merge_steps_;
     result.stats.nodes_recomputed = nodes_recomputed_;
     result.stats.nodes_reused = nodes_reused_;
     result.stats.signatures_checked = signatures_checked_;
-    result.stats.cells_skipped = cells_skipped_;
-    result.stats.root_scan_work = root_scan_work_;
-    result.stats.table_bytes = arena_->used_bytes();
     result.stats.solve_seconds = watch.seconds();
     result.stats.phases = phases_;
   }
 
-  /// (Re)builds node j's table along the merge plan.  With a resumable
+  /// (Re)builds node j's tables along the merge plan.  With a resumable
   /// cache entry (plan.resume), only dirty children's leaf slots, the
   /// internal slots on their root paths and — when the node's client mass
-  /// changed — the base fold re-run; clean slots are spliced in from the
-  /// snapshots (see dp::plan_warm_solve), and root-path joins whose dirty
-  /// operand's value diff is small run lazily (core/merge_kernel.h).
+  /// changed — the base fold re-run; clean slots stay as the previous
+  /// solve left them (see dp::plan_warm_solve).
   bool process_node(NodeId j, const dp::DirtyPlan& plan) {
     const std::size_t i = topo_.internal_index(j);
-    NodeState& s = unpacked_state(i);
+    NodeState& s = node_state(i);
     const RequestCount base = scen_.client_mass(j);
     if (base > modes_.max_capacity()) return false;
     const auto children = topo_.internal_children(j);
-    const std::size_t k = children.size();
-    const dp::MergePlan& mplan = plans_.get(k);
-    const std::size_t slots = mplan.num_slots();
+    const dp::MergePlan& mplan = plans_.get(children.size());
 
     const bool resume = plan.resume[i] != 0;
     const dp::SlotDirtiness slot_dirty =
         dp::plan_slot_dirtiness(plan, topo_, children, mplan, resume);
-    if (!resume) {
-      for (auto& t : s.slot_flows) t.clear(*arena_);
-      for (auto& t : s.slot_decisions) t.clear(*arena_);
-      s.slot_boxes.assign(slots, Box());
-      s.slot_flows.assign(slots, {});
-      s.slot_decisions.assign(slots, {});
-    }
-    slot_diff_.assign(slots, SlotDiff::kClean);
-    slot_changed_.resize(slots);
+    if (!resume) s.slots.assign(mplan.num_slots(), {});
     // The root stops short of its last merge step: the root join pairs
     // that step's operands instead (see root_join).
     const bool is_root = j == topo_.root();
     const std::size_t steps =
-        mplan.steps().size() - (is_root && k > 1 ? 1 : 0);
-    if (resume) {
-      // One rolling changed-cell footprint for the whole rebuild (see
-      // dp::RollingDiffBudget): bursty batches that dirty many slots of
-      // this node stay lazy as long as their aggregate churn is small.
-      std::size_t dirty_cells = 0;
-      for (std::size_t t = 0; t < slots; ++t) {
-        if (slot_dirty.dirty[t] != 0) dirty_cells += s.slot_flows[t].size();
-      }
-      if (steps < mplan.steps().size() &&
-          slot_dirty.dirty[mplan.root_slot()] != 0) {
-        // The root slot is never stored; count the cells it would have
-        // held, so the root's operand joins stay exactly as lazy.
-        dirty_cells += dp::root_box(s, dp::root_operands(mplan), dims_).size();
-      }
-      diff_budget_.reset(dirty_cells);
-    }
+        mplan.steps().size() - (is_root && children.size() > 1 ? 1 : 0);
 
-    for (std::size_t c = 0; c < k; ++c) {
-      if (slot_dirty.dirty[c] != 0) expand_leaf(s, c, children[c], resume);
+    for (std::size_t c = 0; c < children.size(); ++c) {
+      if (slot_dirty.dirty[c] != 0) expand_leaf(s.slots[c], children[c]);
     }
     for (std::size_t t = 0; t < steps; ++t) {
+      const dp::MergePlan::Step& step = mplan.steps()[t];
       const std::uint32_t out = mplan.step_slot(t);
       if (slot_dirty.dirty[out] != 0) {
-        merge_step(s, mplan.steps()[t], out, resume);
+        join(s.slots[step.left], s.slots[step.right], s.slots[out]);
       }
     }
     if (is_root) return true;  // the root join reads the operand slots
@@ -467,218 +428,144 @@ class PowerEngine {
 
     // Bounds seen by the parent: ours plus this node's own placement
     // possibilities.
-    s.incl_bounds = s.box.bounds();
+    s.incl_bounds = s.table.box.bounds();
     key_.add_own_options(j, s.incl_bounds);
-
-    if (cache_ == nullptr) {
-      // One-shot solve: the slot snapshots are never resumed — drop them,
-      // keeping the decisions (reconstruction) and the final table (which
-      // the parent's leaf expansion consumes and then clears).
-      s.slot_boxes.clear();
-      s.slot_boxes.shrink_to_fit();
-      for (auto& t : s.slot_flows) t.clear(*arena_);
-      s.slot_flows.clear();
-      s.slot_flows.shrink_to_fit();
-    }
     return true;
   }
 
-  /// Installs a rebuilt slot table, releasing the previous snapshot.  When
-  /// resuming, first diffs the new flows against it: the resulting changed
-  /// set (or its absence) feeds the lazy-join eligibility of the next step
-  /// up the merge tree — and, through the parent's leaf expansion, of the
-  /// next node up the topology.
-  void finish_slot(NodeState& s, std::size_t slot, Box&& box,
-                   ArenaTable<RequestCount>& flow, ArenaTable<Decision>& dec,
-                   bool try_diff) {
-    if (try_diff) {
-      ArenaTable<RequestCount>& old_flow = s.slot_flows[slot];
-      if (old_flow.size() == flow.size() &&
-          s.slot_boxes[slot].bounds() == box.bounds() &&
-          dp::diff_tables(old_flow.span(), flow.span(),
-                          diff_budget_.slot_cap(flow.size()),
-                          slot_changed_[slot])) {
-        diff_budget_.charge(slot_changed_[slot].size());
-        slot_diff_[slot] = slot_changed_[slot].empty() ? SlotDiff::kClean
-                                                       : SlotDiff::kChanged;
-      } else {
-        slot_diff_[slot] = SlotDiff::kUnknown;
-      }
-    }
-    s.slot_flows[slot].clear(*arena_);
-    s.slot_flows[slot] = flow.take();
-    s.slot_decisions[slot].clear(*arena_);
-    s.slot_decisions[slot] = dec.take();
-    s.slot_boxes[slot] = std::move(box);
-  }
-
-  /// Fills leaf slot `slot` with child c's table extended by the child's
-  /// own placement options: every child state appears unchanged (no
-  /// replica on c, its flow still open) and once per admissible mode w
-  /// (replica on c at w absorbs the child's flow, one unit in each of the
-  /// key's dimensions for it).
-  void expand_leaf(NodeState& s, std::size_t slot, NodeId c, bool try_diff) {
-    NodeState& cs = unpacked_state(topo_.internal_index(c));
+  /// Fills a leaf slot with child c's folded labels extended by the
+  /// child's own placement options: every child label appears unchanged
+  /// (no replica on c, its flow still open) and once per admissible mode
+  /// w (a replica on c at w absorbs the flow, one unit in each of the
+  /// key's dimensions for it).  Candidates are generated in the join
+  /// kernel's order: child labels ascending, the open flow before the
+  /// modes.
+  void expand_leaf(dp::LabelTable& out, NodeId c) {
+    const NodeState& cs = node_state(topo_.internal_index(c));
     Box box{cs.incl_bounds};
-    ArenaTable<RequestCount> flow;
-    flow.assign(*arena_, box.size(), kInvalidFlow);
-    ArenaTable<Decision> dec;
-    dec.resize_uninit(*arena_, box.size());
-    table_cells_ += box.size();
-    ++merge_steps_;
     replica_offset_.assign(static_cast<std::size_t>(m_), 0);
     for (int w = 0; w < m_; ++w) {
       key_.replica_dims(c, w, [&](std::size_t d) {
         replica_offset_[static_cast<std::size_t>(w)] += box.stride(d);
       });
     }
-    dp::compact_entries(cs.box, cs.flow.span(), box, scratch_.left);
-    const dp::EntryList& entries = scratch_.left;
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      const RequestCount ef = entries.flow[e];
-      const std::uint32_t eflat = entries.flat[e];
-      const std::size_t t = static_cast<std::size_t>(entries.dot[e]);
-      if (ef < flow[t]) {
-        flow[t] = ef;
-        dec[t] = Decision{0, eflat, -1};
-      }
-      for (int w = modes_.mode_for_load(ef); w < m_; ++w) {
-        const std::size_t tw =
-            t + replica_offset_[static_cast<std::size_t>(w)];
-        if (RequestCount{0} < flow[tw]) {
-          flow[tw] = 0;
-          dec[tw] = Decision{0, eflat, static_cast<std::int8_t>(w)};
-        }
+    dp::label_dots(cs.table, box, ldots_);
+    pending_.clear();
+    for (std::uint32_t e = 0; e < cs.table.labels.size(); ++e) {
+      const RequestCount f = cs.table.labels[e].flow;
+      const std::uint64_t t = ldots_[e];
+      pending_.push_back(Label{f, static_cast<std::uint32_t>(t),
+                               Decision{0, e, -1}});
+      for (int w = modes_.mode_for_load(f); w < m_; ++w) {
+        pending_.push_back(Label{
+            0,
+            static_cast<std::uint32_t>(
+                t + replica_offset_[static_cast<std::size_t>(w)]),
+            Decision{0, e, static_cast<std::int8_t>(w)}});
       }
     }
-    finish_slot(s, slot, std::move(box), flow, dec, try_diff);
-    if (cache_ == nullptr) {
-      // The child's final table has been consumed; only its decisions are
-      // still needed (reconstruction).
-      cs.flow.clear(*arena_);
-    }
+    settle(std::move(box), out);
   }
 
-  /// Joins two merge-plan slots: flows add (both stay open) under the
-  /// W_M feasibility cut.  Runs through the shared kernel — sharded across
-  /// the pool when profitable, lazily against the previous snapshot when
-  /// resuming with one cleanly-diffed dirty operand — and is bit-identical
-  /// to the serial scalar loop in every configuration.
-  void merge_step(NodeState& s, const dp::MergePlan::Step& step,
-                  std::uint32_t out, bool resume) {
-    const Box& lbox = s.slot_boxes[step.left];
-    const Box& rbox = s.slot_boxes[step.right];
-    std::vector<int> new_bounds(dims_);
+  /// Joins two slots: flows add (both stay open) under the W_M feasibility
+  /// cut, pairs visited left label by left label.
+  void join(const dp::LabelTable& left, const dp::LabelTable& right,
+            dp::LabelTable& out) {
+    std::vector<int> bounds(dims_);
     for (std::size_t d = 0; d < dims_; ++d) {
-      new_bounds[d] = lbox.bounds()[d] + rbox.bounds()[d];
+      bounds[d] = left.box.bounds()[d] + right.box.bounds()[d];
     }
-    Box new_box(std::move(new_bounds));
-    ArenaTable<RequestCount> merged;
-    merged.resize_uninit(*arena_, new_box.size());
-    ArenaTable<Decision> dec;
-    dec.resize_uninit(*arena_, new_box.size());
-    table_cells_ += new_box.size();
-    ++merge_steps_;
-
-    const dp::JoinInputs in{&lbox,
-                            s.slot_flows[step.left].span(),
-                            &rbox,
-                            s.slot_flows[step.right].span(),
-                            &new_box,
-                            modes_.max_capacity()};
-
-    dp::LazyJoin lazy;
-    const dp::LazyJoin* lazy_ptr = nullptr;
-    if (resume) {
-      const SlotDiff ld = slot_diff_[step.left];
-      const SlotDiff rd = slot_diff_[step.right];
-      const ArenaTable<RequestCount>& old_flow = s.slot_flows[out];
-      // Both operands may carry small diffs (a rolling multi-delta batch
-      // dirties several children of one node); the join then sweeps the
-      // changed sets from both sides instead of bailing to a full rebuild.
-      if (old_flow.size() == new_box.size() &&
-          s.slot_decisions[out].size() == new_box.size() &&
-          s.slot_boxes[out].bounds() == new_box.bounds() &&
-          ld != SlotDiff::kUnknown && rd != SlotDiff::kUnknown) {
-        if (ld == SlotDiff::kChanged) {
-          lazy.changed_left = slot_changed_[step.left];
-        }
-        if (rd == SlotDiff::kChanged) {
-          lazy.changed_right = slot_changed_[step.right];
-        }
-        lazy.old_flow = old_flow.span();
-        lazy.old_dec = s.slot_decisions[out].span();
-        if (dp::lazy_join_pays(in, lazy.changed_left.size(),
-                               lazy.changed_right.size())) {
-          lazy_ptr = &lazy;
-        }
+    Box box(std::move(bounds));
+    dp::label_dots(left, box, ldots_);
+    dp::label_dots(right, box, rdots_);
+    const RequestCount cap = modes_.max_capacity();
+    pending_.clear();
+    for (std::uint32_t a = 0; a < left.labels.size(); ++a) {
+      for (std::uint32_t b = 0; b < right.labels.size(); ++b) {
+        ++merge_pairs_;
+        const RequestCount f = left.labels[a].flow + right.labels[b].flow;
+        if (f > cap) continue;
+        pending_.push_back(Label{
+            f, static_cast<std::uint32_t>(ldots_[a] + rdots_[b]),
+            Decision{a, b, -1}});
       }
     }
-
-    const dp::JoinStats js =
-        dp::join_slots(in, {merged.data(), merged.size()},
-                       {dec.data(), dec.size()}, merge_pool(), scratch_,
-                       lazy_ptr);
-    merge_pairs_ += js.pairs;
-    cells_skipped_ += js.cells_skipped;
-
-    finish_slot(s, out, std::move(new_box), merged, dec, resume);
+    settle(std::move(box), out);
   }
 
-  /// Folds the node's own client mass into the root slot: every open flow
-  /// grows by `base`, entries pushed past W_M become invalid.  Flat
-  /// indices are unchanged, so reconstruction starts straight at the root
-  /// slot.
+  /// Installs the candidates in pending_ (labels over `box`, in visiting
+  /// order) as `out`: per count vector the least flow, the first such
+  /// candidate winning ties as in the join kernel, then pruned to the
+  /// non-dominated set.
+  void settle(Box box, dp::LabelTable& out) {
+    std::stable_sort(pending_.begin(), pending_.end(),
+                     [](const Label& a, const Label& b) {
+                       return a.flat != b.flat ? a.flat < b.flat
+                                               : a.flow < b.flow;
+                     });
+    out.labels.clear();
+    for (const Label& l : pending_) {
+      if (out.labels.empty() || out.labels.back().flat != l.flat) {
+        out.labels.push_back(l);
+      }
+    }
+    dp::prune_labels(box, pricing_, out.labels, prune_scratch_);
+    out.box = std::move(box);
+    labels_ += out.labels.size();
+    ++merge_steps_;
+  }
+
+  /// Folds the node's own client mass into the root slot: every flow grows
+  /// by `base`, labels pushed past W_M drop out.  A common flow shift keeps
+  /// every dominance relation among the survivors, so the folded list is
+  /// still non-dominated.  Each folded label carries its root-slot label's
+  /// decision, so the walk starts straight at the root slot.
   void fold_base(NodeState& s, RequestCount base,
                  const dp::MergePlan& mplan) {
+    s.table.labels.clear();
     if (mplan.num_leaves() == 0) {
-      s.box = Box(std::vector<int>(dims_, 0));
-      s.flow.assign(*arena_, 1, base);
-      table_cells_ += 1;
+      s.table.box = Box(std::vector<int>(dims_, 0));
+      s.table.labels.push_back(Label{base, 0, Decision{}});
       return;
     }
-    const RequestCount w_max = modes_.max_capacity();
-    const std::uint32_t root = mplan.root_slot();
-    s.box = s.slot_boxes[root];
-    s.flow.assign_copy(*arena_, s.slot_flows[root].span());
-    for (RequestCount& f : s.flow) {
-      if (f == kInvalidFlow) continue;
-      f += base;
-      if (f > w_max) f = kInvalidFlow;
+    const dp::LabelTable& root = s.slots[mplan.root_slot()];
+    s.table.box = root.box;
+    for (const Label& l : root.labels) {
+      if (l.flow + base > modes_.max_capacity()) continue;
+      s.table.labels.push_back(Label{l.flow + base, l.flat, l.dec});
     }
   }
 
-  /// The root join (core/pareto_root.h): prunes the root's two operand
-  /// slots to their non-dominated cells, pairs the survivors under the
-  /// W_M cut with the root's client mass folded in, and expands every
-  /// feasible pair into the root's own options as (cost, power)
-  /// candidates.
+  const dp::LabelTable& root_operand(const NodeState& s,
+                                     std::uint32_t slot) const {
+    return slot == dp::RootOperands::kNoSlot ? empty_operand_ : s.slots[slot];
+  }
+
+  /// The root join (core/pareto_root.h): pairs the root's two operand
+  /// label lists under the W_M cut with the root's client mass folded in,
+  /// and expands every feasible pair into the root's own options as
+  /// (cost, power) candidates.
   std::vector<RootCandidate> root_join() {
     const NodeId root = topo_.root();
-    // The root may be clean (and packed) on a fully-warm solve; its
-    // operand slots are re-read every solve.
-    const NodeState& s = unpacked_state(topo_.internal_index(root));
+    const NodeState& s = node_state(topo_.internal_index(root));
     const dp::RootOperands ops =
         dp::root_operands(plans_.get(topo_.internal_children(root).size()));
-    const Box rbox = dp::root_box(s, ops, dims_);
-
-    dp::RootPricing pricing;
-    double units = 1.0;  // bound on any candidate's summed counts
-    for (const int b : rbox.bounds()) units += b;
-    key_.price_root(units, pricing);
-    double max_power = 0.0;
-    for (int w = 0; w < m_; ++w) {
-      max_power = std::max(max_power, std::fabs(modes_.power(w)));
+    const dp::LabelTable& left = root_operand(s, ops.left);
+    const dp::LabelTable& right = root_operand(s, ops.right);
+    // Candidate flats index the box a full join of the operands would
+    // fill, so they tie-break exactly as that join's output cells would.
+    std::vector<int> bounds(dims_, 0);
+    for (const dp::LabelTable* t : {&left, &right}) {
+      for (std::size_t d = 0; d < t->box.dims(); ++d) {
+        bounds[d] += t->box.bounds()[d];
+      }
     }
-    pricing.power_tol = dp::near_tie_tolerance(units * max_power);
-    dp::root_operand_cells(s, ops.left, rbox, pricing, root_left_,
-                           root_scan_work_);
-    dp::root_operand_cells(s, ops.right, rbox, pricing, root_right_,
-                           root_scan_work_);
-
-    return dp::pair_root_cells(
-        root_left_, root_right_, rbox, scen_.client_mass(root), modes_,
-        merge_pairs_,
+    const Box rbox(std::move(bounds));
+    dp::label_dots(left, rbox, ldots_);
+    dp::label_dots(right, rbox, rdots_);
+    return dp::pair_root_labels(
+        left.labels, ldots_, right.labels, rdots_, rbox,
+        scen_.client_mass(root), modes_, merge_pairs_,
         [&](std::vector<int>& counts, int w) {
           key_.replica_dims(root, w, [&](std::size_t d) { counts[d] += 1; });
         },
@@ -687,28 +574,21 @@ class PowerEngine {
   }
 
   /// Places the root's own server, then walks a root-join candidate's
-  /// operand cells down the root's merge plan.
+  /// operand labels down the root's merge plan.
   void reconstruct_root(const RootCandidate& c, Placement& placement) const {
     const NodeId root = topo_.root();
     if (c.root_mode >= 0) placement.add(root, c.root_mode);
     const auto children = topo_.internal_children(root);
     if (children.empty()) return;
-    const NodeState& s = unpacked_state(topo_.internal_index(root));
+    const NodeState& s = node_state(topo_.internal_index(root));
     const dp::MergePlan& mplan = plans_.get(children.size());
-    // Clean nodes skipped by the warm solve may still be packed; the walk
-    // reads their decisions.
     const auto state_of = [this](std::size_t i) -> const NodeState& {
-      return unpacked_state(i);
+      return node_state(i);
     };
-    dp::walk_root_operands(mplan, c, [&](std::uint32_t slot, std::size_t flat) {
-      walk_slot(topo_, plans_, state_of, s, children, mplan, slot, flat,
-                placement);
+    dp::walk_root_operands(mplan, c, [&](std::uint32_t slot, std::size_t pos) {
+      walk_slot(topo_, plans_, state_of, s, children, mplan, slot,
+                s.slots[slot].labels[pos].dec, placement);
     });
-  }
-
-  /// The configured long-lived pool, else this solve's lazy workers.
-  ThreadPool* merge_pool() {
-    return external_pool_ != nullptr ? external_pool_ : lazy_pool_.get();
   }
 
   const Key key_;
@@ -718,34 +598,25 @@ class PowerEngine {
   const CostModel& costs_;
   const int m_;
   const std::size_t dims_;
-  ThreadPool* const external_pool_;
-  dp::LazyPool lazy_pool_;
   /// Session-owned states when warm-starting, else this solve's locals.
   dp::PowerSubtreeCache* const cache_;
-  /// Table storage: the cache's arena for warm solves (tables outlive this
-  /// solve), a solver-local one otherwise.
-  TableArena own_arena_;
-  TableArena* const arena_;
   const std::span<const ScenarioDelta> deltas_;
   mutable std::vector<NodeState> local_states_;
   mutable dp::MergePlanCache plans_;
-  dp::JoinScratch scratch_;
+  dp::LabelPricing pricing_;
+  dp::PruneScratch prune_scratch_;
+  dp::LabelTable empty_operand_;  ///< the childless side of a root join
+  std::vector<Label> pending_;    ///< candidates of the table being built
+  std::vector<std::uint64_t> ldots_;
+  std::vector<std::uint64_t> rdots_;
   /// Per-mode flat offset of a replica on the child being expanded.
   std::vector<std::size_t> replica_offset_;
-  std::vector<dp::RootCell> root_left_;  ///< root-join operand scratch
-  std::vector<dp::RootCell> root_right_;
-  dp::RollingDiffBudget diff_budget_;
-  /// Per-slot diff state of the node currently being processed.
-  std::vector<SlotDiff> slot_diff_;
-  std::vector<std::vector<std::uint32_t>> slot_changed_;
   std::uint64_t merge_pairs_ = 0;
-  std::uint64_t table_cells_ = 0;
+  std::uint64_t labels_ = 0;
   std::uint64_t merge_steps_ = 0;
   std::uint64_t nodes_recomputed_ = 0;
   std::uint64_t nodes_reused_ = 0;
   std::uint64_t signatures_checked_ = 0;
-  std::uint64_t cells_skipped_ = 0;
-  std::uint64_t root_scan_work_ = 0;
   PowerPhaseSeconds phases_;
 };
 
@@ -771,17 +642,6 @@ PowerDPResult solve_power_symmetric(const Topology& topo,
                       "solve_power_symmetric requires a symmetric cost model");
   PowerEngine<SymmetricKey> engine(topo, scen, modes, costs, options);
   return engine.solve();
-}
-
-void reconstruct_power_subtree(const Topology& topo,
-                               dp::PowerSubtreeCache& cache,
-                               dp::MergePlanCache& plans, NodeId j,
-                               std::size_t flat, Placement& placement) {
-  const auto state_of = [&cache](std::size_t i) -> const NodeState& {
-    cache.ensure_unpacked(i);
-    return cache.state(i);
-  };
-  walk_subtree(topo, plans, state_of, j, flat, placement);
 }
 
 }  // namespace treeplace

@@ -3,12 +3,20 @@
 // State per subtree: a count vector of servers, with the minimal flow
 // leaving the subtree per state (the generalization of Lemma 1: cost and
 // power depend only on the counts, and a smaller residual flow never hurts
-// upward feasibility).  One engine runs the DP over either of two keys.
+// upward feasibility).  The engine stores each table as a short list of
+// labels — (count vector, flow, decision) — pruned after every leaf
+// expansion and join to the labels no other label beats in flow, partial
+// cost and partial power at once (core/pareto_root.h).  The frontier and
+// its witness placements are bit-identical to the full count-vector
+// table's, and a list never holds more labels than that table has valid
+// cells, so the bounds below still hold; on the benchmark trees a list
+// holds a few dozen labels against thousands of cells.  One engine runs
+// the DP over either of two keys.
 //
 // The exact key, solve_power_exact(), is
 //   (n_1..n_M, e_{1,1}..e_{M,M})
 // new servers per mode and reused pre-existing servers per (original mode,
-// new mode) pair.  The table dimensionality is M + M², exponential in the
+// new mode) pair.  The key dimensionality is M + M², exponential in the
 // number of modes — the paper's O(N^{2M²+2M+1}) bound — but every
 // dimension is bounded by the actual node counts of the partial subtree,
 // which keeps moderate instances (M = 2, N ≤ 50) tractable; this is what
@@ -40,20 +48,8 @@
 
 namespace treeplace {
 
-class ThreadPool;  // support/thread_pool.h
-
-/// Solver-internal parallelism for the power DPs.  The per-child merge
-/// loops are sharded over `threads` workers (see core/merge_kernel.h); the
-/// resulting tables — and therefore frontier values, placements and the
-/// merge-pair work counter — are bit-identical to the serial solve for any
-/// thread count.
+/// Options of one power solve.
 struct PowerDPOptions {
-  std::size_t threads = 1;  ///< 1 = serial; workers are spawned lazily
-  /// Optional long-lived pool to shard on (its size then decides the shard
-  /// count); when null and threads > 1, the solve spawns its own workers
-  /// lazily.  Registered solvers pass Solver::worker_pool() so repeated
-  /// solves never pay per-solve thread churn.
-  ThreadPool* pool = nullptr;
   /// Optional externally-owned per-subtree tables (see core/dp_cache.h).
   /// When set, the solve reuses cached tables of internal nodes whose
   /// solver-visible inputs are unchanged since the cache was filled, and
@@ -84,8 +80,7 @@ inline PowerDPResult solve_power_exact(const Tree& tree, const ModeSet& modes,
 }
 
 /// The same frontier over the reduced key.  Requires costs.is_symmetric();
-/// use solve_power_exact() otherwise.  `options.threads` shards the
-/// per-child merges (bit-identical results).
+/// use solve_power_exact() otherwise.
 PowerDPResult solve_power_symmetric(const Topology& topo,
                                     const Scenario& scen,
                                     const ModeSet& modes,
@@ -98,14 +93,5 @@ inline PowerDPResult solve_power_symmetric(const Tree& tree,
   return solve_power_symmetric(tree.topology(), tree.scenario(), modes, costs,
                                options);
 }
-
-/// Cache-only decision walk: emits the placement of the subtree rooted at
-/// `j` for the chosen flat index into its cached root table, reading the
-/// per-slot decisions the last completed solve left behind (packed entries
-/// are unpacked on the way).  Works for either key's cache.
-void reconstruct_power_subtree(const Topology& topo,
-                               dp::PowerSubtreeCache& cache,
-                               dp::MergePlanCache& plans, NodeId j,
-                               std::size_t flat, Placement& placement);
 
 }  // namespace treeplace

@@ -97,7 +97,7 @@ BoundRequest bind_request(ServeRequest& request, const CacheKey& key,
       bound.instance.emplace(std::move(entry->topology), std::move(scen),
                              config.modes, config.costs, config.cost_budget);
     } catch (const CheckError& e) {
-      bound.error.emplace().error = e.what();
+      bound.error.emplace().error = e.message();
       return bound;
     }
   }

@@ -46,8 +46,11 @@ StreamServerSummary StreamServer::serve(std::istream& in, std::ostream& out) {
       core.process_requests(conn);
       core.flush_completed(conn);
       const std::span<const char> bytes = conn.out().pending();
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      conn.out().consume(bytes.size());
+      if (!bytes.empty()) {
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        out.flush();
+        conn.out().consume(bytes.size());
+      }
       if (conn.ready_requests().empty() &&
           (!until_idle || conn.in_flight() == 0)) {
         return;
@@ -63,6 +66,10 @@ StreamServerSummary StreamServer::serve(std::istream& in, std::ostream& out) {
   // block reports the failure (the CLI turns it into a nonzero exit).
   try {
     while (!conn.peer_eof()) {
+      // A read that would block must not hold finished results back: a
+      // producer that waits for its answers before it writes more would
+      // hang.  So wait for the requests in flight first.
+      if (conn.in_flight() > 0 && in.rdbuf()->in_avail() <= 0) step(true);
       const std::size_t n =
           read_piece(in, conn.writable(kReadPiece).first(kReadPiece));
       conn.commit(n);
@@ -82,6 +89,7 @@ StreamServerSummary StreamServer::serve(std::istream& in, std::ostream& out) {
   if (summary.stream_error) {
     out << "# serve: stream error: " << summary.stream_error_message << "\n";
   }
+  out.flush();
   return summary;
 }
 

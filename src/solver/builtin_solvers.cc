@@ -229,7 +229,7 @@ class PowerDPSolver : public Solver {
       : Solver(std::move(info)), run_(run) {}
 
   Solution solve(const Instance& in) const override {
-    PowerDPResult r = run_(in, dp_options());
+    PowerDPResult r = run_(in, PowerDPOptions{});
     return finish(in, std::move(r));
   }
 
@@ -240,7 +240,7 @@ class PowerDPSolver : public Solver {
     if (request.session == nullptr) return solve(in);
     SolveSession& session = *request.session;
     session.check_topology(in.topology);
-    PowerDPOptions opts = dp_options();
+    PowerDPOptions opts;
     opts.cache = &session.power_cache(name());
     opts.deltas = request.deltas;
     PowerDPResult r = run_(in, opts);
@@ -249,13 +249,6 @@ class PowerDPSolver : public Solver {
   }
 
  private:
-  PowerDPOptions dp_options() const {
-    PowerDPOptions opts;
-    opts.threads = static_cast<std::size_t>(options().threads);
-    opts.pool = worker_pool();
-    return opts;
-  }
-
   static Solution finish(const Instance& in, PowerDPResult r) {
     return finish_frontier(in, r.feasible, std::move(r.frontier),
                            {r.stats.solve_seconds, r.stats.merge_pairs});

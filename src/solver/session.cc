@@ -86,7 +86,7 @@ SolveSession::Stats SolveSession::stats() const {
   stats.bytes_resident = bytes_resident_.load();
   stats.snapshots_dropped = snapshots_dropped_.load();
   stats.tables_dropped = tables_dropped_.load();
-  stats.root_scan_work = root_scan_work_.load();
+  stats.labels = labels_.load();
   for (std::size_t p = 0; p < kPowerPhases.size(); ++p) {
     stats.phases.*kPowerPhases[p] = to_seconds(phase_ns_[p].load());
   }
@@ -108,12 +108,12 @@ void SolveSession::record_warm(std::uint64_t nodes_recomputed,
 }
 
 void SolveSession::record_warm(const PowerSolveStats& stats) {
-  root_scan_work_.fetch_add(stats.root_scan_work);
+  labels_.fetch_add(stats.labels);
   for (std::size_t p = 0; p < kPowerPhases.size(); ++p) {
     phase_ns_[p].fetch_add(to_ns(stats.phases.*kPowerPhases[p]));
   }
   record_warm(stats.nodes_recomputed, stats.nodes_reused, stats.merge_steps,
-              stats.signatures_checked, stats.cells_skipped);
+              stats.signatures_checked, /*cells_skipped=*/0);
 }
 
 void* SolveSession::attachment(std::shared_ptr<void> (*make)()) {

@@ -117,9 +117,9 @@ class SolveSession {
     std::uint64_t bytes_resident = 0;  ///< after the last warm solve
     std::uint64_t snapshots_dropped = 0;
     std::uint64_t tables_dropped = 0;
-    /// The power engines' root-join scan work (PowerSolveStats::
-    /// root_scan_work) summed over their warm solves.
-    std::uint64_t root_scan_work = 0;
+    /// Labels the power engines' warm solves kept (PowerSolveStats::
+    /// labels).
+    std::uint64_t labels = 0;
     /// Wall-clock phase split summed over the power engines' warm solves
     /// (PowerPhaseSeconds); timing only, never part of a result line.
     PowerPhaseSeconds phases;
@@ -132,8 +132,8 @@ class SolveSession {
   void record_warm(std::uint64_t nodes_recomputed, std::uint64_t nodes_reused,
                    std::uint64_t merge_steps, std::uint64_t signatures_checked,
                    std::uint64_t cells_skipped);
-  /// The power engines' form: their accounting plus the root-scan work
-  /// and the phase split.
+  /// The power engines' form: their accounting plus the labels kept and
+  /// the phase split.
   void record_warm(const PowerSolveStats& stats);
   /// Called by the base-class cold fallback.
   void record_cold();
@@ -153,9 +153,10 @@ class SolveSession {
   /// next solve simply runs cold).  Takes solve_mutex() internally.
   void restore(binio::Reader& r);
 
-  /// Losslessly packs every cached flow table (core/merge_kernel.h
+  /// Losslessly packs every cached MinCost flow table (core/merge_kernel.h
   /// PackedTable: dead-cell runs elided, cells narrowed to the width the
-  /// table needs), returning the resident cache bytes after packing.
+  /// table needs; the power engines' label tables have nothing to pack),
+  /// returning the resident cache bytes after packing.
   /// Unlike enforce_budget()'s shedding this costs no recompute — the
   /// next solve unpacks exactly the nodes it touches.  Takes
   /// solve_mutex() internally — call between solves, not from one.
@@ -196,7 +197,7 @@ class SolveSession {
   std::atomic<std::uint64_t> bytes_resident_{0};
   std::atomic<std::uint64_t> snapshots_dropped_{0};
   std::atomic<std::uint64_t> tables_dropped_{0};
-  std::atomic<std::uint64_t> root_scan_work_{0};
+  std::atomic<std::uint64_t> labels_{0};
   /// PowerPhaseSeconds sums in nanoseconds (atomic integer adds), one per
   /// kPowerPhases entry.
   std::array<std::atomic<std::uint64_t>, kPowerPhases.size()> phase_ns_{};

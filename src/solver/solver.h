@@ -16,7 +16,6 @@
 
 #include "solver/instance.h"
 #include "solver/solution.h"
-#include "support/thread_pool.h"
 #include "tree/scenario_delta.h"
 
 namespace treeplace {
@@ -101,10 +100,10 @@ class Solver {
   /// solve() calls: configure the solver first, then share it freely
   /// (solve() itself stays const and thread-safe).
   struct Options {
-    /// Worker threads for solver-internal parallelism — the power DPs shard
-    /// their per-child merge loops across this many workers.  1 = serial.
-    /// Results are bit-identical for any value (see core/merge_kernel.h);
-    /// strategies without internal parallelism ignore the knob.
+    /// Worker threads for solver-internal parallelism.  Accepted for every
+    /// strategy; the built-in ones all solve serially (the power DPs'
+    /// label tables leave too little work per join to shard), so results
+    /// and counters are the same for any value.
     int threads = 1;
   };
 
@@ -122,19 +121,7 @@ class Solver {
     TREEPLACE_CHECK_MSG(options.threads >= 1,
                         "Solver::Options::threads must be >= 1");
     options_ = options;
-    // One long-lived worker team per configured solver, shared by every
-    // solve() — serving thousands of requests must not pay per-request
-    // thread spawns.  ThreadPool::submit is thread-safe, so concurrent
-    // solves may share it freely.
-    worker_pool_ =
-        options.threads > 1
-            ? std::make_shared<ThreadPool>(
-                  static_cast<std::size_t>(options.threads))
-            : nullptr;
   }
-
-  /// The pool backing options().threads; nullptr when threads == 1.
-  ThreadPool* worker_pool() const { return worker_pool_.get(); }
 
   /// Solves `instance`.  Must be thread-safe (const, no mutable state).
   virtual Solution solve(const Instance& instance) const = 0;
@@ -157,7 +144,6 @@ class Solver {
  private:
   SolverInfo info_;
   Options options_;
-  std::shared_ptr<ThreadPool> worker_pool_;
 };
 
 }  // namespace treeplace

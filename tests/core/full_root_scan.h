@@ -1,26 +1,35 @@
-// A reference for the power DPs' Pareto root join: the full root scan.
+// A reference for the power DPs: the unpruned count-vector DP.
 //
-// The engines never build the root's last merge slot; they pair the
-// non-dominated cells of its two operand slots (core/pareto_root.h).
-// This header computes the root frontier the direct way from a cached
-// solve's root state: the full min-flow join of the two operands (first
-// occurrence of the least flow wins, as in the join kernel), the
-// client-mass fold, the scan of every root cell x root option, the
-// frontier sweep, and the decision walk of each chosen point.  Tests compare the engines'
-// frontiers — values and witness placements — against it bit for bit.
+// The engines keep only non-dominated labels per table and pair the root's
+// two operand lists directly (core/pareto_root.h).  This header solves the
+// same instance the direct way and reads no engine state: per internal
+// node, every reachable count vector with its least flow, children
+// combined along the same balanced merge tree (each child expanded by its
+// own placement options, then joined in halves), the client mass folded
+// in, and at the root every cell x root option scanned into the frontier
+// sweep.  Ties go to the first candidate reaching the least flow in
+// ascending count-vector order — the join kernel's rule — so the witness
+// placements are the ones the paper's table DP picks.  Tests compare the
+// engines' frontiers, values and witnesses, against it bit for bit.
+//
+// The count-vector semantics (which dimensions a replica increments, how
+// a root count vector prices) come from the test's own copy of each key,
+// never from the engine.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
+#include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include <string>
-
-#include "core/dp_cache.h"
 #include "core/exhaustive.h"
 #include "core/power_common.h"
 #include "core/power_dp.h"
@@ -29,145 +38,183 @@
 #include "model/cost.h"
 #include "model/modes.h"
 #include "model/placement.h"
+#include "support/check.h"
 #include "support/prng.h"
 #include "tree/tree.h"
 
 namespace treeplace::testing {
 
-/// Prices one root count vector: fills cost, power and servers exactly as
-/// the engine's make_candidate does (same operations, same order).
+/// Prices one root count vector: cost, power and servers exactly as the
+/// engine's make_candidate does (same operations, same order).
 struct RootPrice {
   double cost = 0.0;
   double power = 0.0;
   int servers = 0;
 };
 using PriceFn = std::function<RootPrice(const std::vector<int>& counts)>;
-/// The count-vector dimensions a replica on the root at mode w increments
-/// (the symmetric DP also bumps its same/changed dimension).  `near_ties`,
-/// when set, counts adjacent sorted candidates whose costs differ by a
-/// rounding-sized amount (0 < gap <= 1e-9) — the cases the root join's
-/// near-tie rule exists for.
-using RootDimsFn = std::function<std::vector<std::size_t>(int w)>;
+/// The count-vector dimensions a replica on `node` at mode w increments.
+using ReplicaDimsFn =
+    std::function<std::vector<std::size_t>(NodeId node, int w)>;
 
 namespace detail {
 
-inline void walk_slot(const Topology& topo, dp::PowerSubtreeCache& cache,
-                      dp::MergePlanCache& plans, const dp::PowerNodeState& s,
-                      std::span<const NodeId> children,
-                      const dp::MergePlan& mplan, std::uint32_t slot,
-                      std::size_t flat, Placement& placement) {
-  const dp::Decision d = s.slot_decisions[slot][flat];
-  if (slot < mplan.num_leaves()) {
-    const NodeId c = children[slot];
-    if (d.mode >= 0) placement.add(c, d.mode);
-    reconstruct_power_subtree(topo, cache, plans, c, d.right, placement);
-    return;
+/// Where a cell's least flow came from: a replica on `node` over a child
+/// cell, or the join of two operand cells.
+struct Witness {
+  NodeId node = kNoNode;
+  int mode = -1;
+  std::shared_ptr<const Witness> left;
+  std::shared_ptr<const Witness> right;
+};
+
+struct Cell {
+  RequestCount flow = 0;
+  std::shared_ptr<const Witness> witness;
+};
+
+/// Count vectors encoded mixed-radix with dimension 0 most significant, so
+/// the map's key order is the ascending flat order of every box.
+using Table = std::map<std::uint64_t, Cell>;
+
+class UnprunedDp {
+ public:
+  UnprunedDp(const Topology& topo, const Scenario& scen, const ModeSet& modes,
+             std::size_t dims, const ReplicaDimsFn& replica_dims)
+      : topo_(topo),
+        scen_(scen),
+        modes_(modes),
+        dims_(dims),
+        replica_dims_(replica_dims),
+        radix_(static_cast<std::uint64_t>(topo.num_internal()) + 2),
+        weight_(dims, 1) {
+    for (std::size_t d = dims; d-- > 1;) {
+      TREEPLACE_CHECK_MSG(
+          weight_[d] <= ~std::uint64_t{0} / radix_ / radix_,
+          "count vectors too wide for the oracle's 64-bit key");
+      weight_[d - 1] = weight_[d] * radix_;
+    }
   }
-  const dp::MergePlan::Step& step = mplan.steps()[slot - mplan.num_leaves()];
-  walk_slot(topo, cache, plans, s, children, mplan, step.left, d.left,
-            placement);
-  walk_slot(topo, cache, plans, s, children, mplan, step.right, d.right,
-            placement);
+
+  std::vector<int> decode(std::uint64_t key) const {
+    std::vector<int> digits(dims_);
+    for (std::size_t d = 0; d < dims_; ++d) {
+      digits[d] = static_cast<int>(key / weight_[d]);
+      key %= weight_[d];
+    }
+    return digits;
+  }
+
+  std::uint64_t add_replica(std::uint64_t key, NodeId node, int w) const {
+    for (const std::size_t d : replica_dims_(node, w)) key += weight_[d];
+    return key;
+  }
+
+  /// The node's children combined (the root table before its client mass
+  /// folds in); nullopt when some client mass below exceeds W_M.
+  std::optional<Table> combined(NodeId j) const {
+    const auto children = topo_.internal_children(j);
+    if (children.empty()) return Table{{0, Cell{0, nullptr}}};
+    return combine(children, 0, children.size());
+  }
+
+ private:
+  static void offer(Table& t, std::uint64_t key, RequestCount flow,
+                    std::shared_ptr<const Witness> witness) {
+    auto [it, inserted] = t.try_emplace(key, Cell{flow, witness});
+    if (!inserted && flow < it->second.flow) it->second = {flow, witness};
+  }
+
+  std::optional<Table> combine(std::span<const NodeId> children,
+                               std::size_t lo, std::size_t hi) const {
+    if (hi - lo == 1) return leaf(children[lo]);
+    const std::size_t mid = lo + (hi - lo) / 2;
+    std::optional<Table> left = combine(children, lo, mid);
+    if (!left) return std::nullopt;
+    std::optional<Table> right = combine(children, mid, hi);
+    if (!right) return std::nullopt;
+    Table out;
+    for (const auto& [a, ca] : *left) {
+      for (const auto& [b, cb] : *right) {
+        const RequestCount f = ca.flow + cb.flow;
+        if (f > modes_.max_capacity()) continue;
+        offer(out, a + b, f,
+              std::make_shared<const Witness>(
+                  Witness{kNoNode, -1, ca.witness, cb.witness}));
+      }
+    }
+    return out;
+  }
+
+  /// Child c's folded table, extended by a replica on c at every mode
+  /// that can carry the cell's flow.
+  std::optional<Table> leaf(NodeId c) const {
+    const RequestCount base = scen_.client_mass(c);
+    if (base > modes_.max_capacity()) return std::nullopt;
+    std::optional<Table> inner = combined(c);
+    if (!inner) return std::nullopt;
+    Table out;
+    for (const auto& [v, cell] : *inner) {
+      const RequestCount f = cell.flow + base;
+      if (f > modes_.max_capacity()) continue;
+      offer(out, v, f, cell.witness);
+      for (int w = modes_.mode_for_load(f); w < modes_.count(); ++w) {
+        offer(out, add_replica(v, c, w), 0,
+              std::make_shared<const Witness>(
+                  Witness{c, w, cell.witness, nullptr}));
+      }
+    }
+    return out;
+  }
+
+  const Topology& topo_;
+  const Scenario& scen_;
+  const ModeSet& modes_;
+  const std::size_t dims_;
+  const ReplicaDimsFn& replica_dims_;
+  const std::uint64_t radix_;
+  std::vector<std::uint64_t> weight_;
+};
+
+inline void add_witness(const std::shared_ptr<const Witness>& w,
+                        Placement& placement) {
+  if (w == nullptr) return;
+  if (w->node != kNoNode) placement.add(w->node, w->mode);
+  add_witness(w->left, placement);
+  add_witness(w->right, placement);
 }
 
 }  // namespace detail
 
-/// The frontier the full root scan picks over `cache`'s root state (the
-/// cache must hold a completed solve of (topo, scen); `dims` is the
-/// engine's count-vector width).  Points carry the evaluator's prices,
-/// like the engines' frontiers.
-inline std::vector<PowerParetoPoint> full_root_scan(
+/// The frontier of the unpruned count-vector DP over `dims`-wide count
+/// vectors (empty when infeasible).  Points carry the evaluator's prices,
+/// like the engines' frontiers.  `near_ties`, when set, counts adjacent
+/// sorted candidates whose costs differ by a rounding-sized amount
+/// (0 < gap <= 1e-9) — the cases the pruning margins exist for.
+inline std::vector<PowerParetoPoint> unpruned_frontier(
     const Topology& topo, const Scenario& scen, const ModeSet& modes,
-    const CostModel& costs, std::size_t dims, dp::PowerSubtreeCache& cache,
-    const PriceFn& price, const RootDimsFn& root_dims,
-    std::size_t* near_ties = nullptr) {
+    const CostModel& costs, std::size_t dims, const PriceFn& price,
+    const ReplicaDimsFn& replica_dims, std::size_t* near_ties = nullptr) {
   const NodeId root = topo.root();
-  const std::size_t ri = topo.internal_index(root);
-  cache.ensure_unpacked(ri);
-  const dp::PowerNodeState& s = cache.state(ri);
-  const auto children = topo.internal_children(root);
-  dp::MergePlanCache plans;
-  const dp::MergePlan& mplan = plans.get(children.size());
-  const RequestCount cap = modes.max_capacity();
-
-  // Operand slots: the last step's two operands, a lone leaf, or none.
-  std::vector<std::uint32_t> operands;
-  if (mplan.num_leaves() == 1) operands = {0};
-  if (!mplan.steps().empty()) {
-    operands = {mplan.steps().back().left, mplan.steps().back().right};
-  }
-  std::vector<int> bounds(dims, 0);
-  for (const std::uint32_t o : operands) {
-    const std::vector<int>& b = s.slot_boxes[o].bounds();
-    for (std::size_t d = 0; d < dims; ++d) bounds[d] += b[d];
-  }
-  const dp::Box rbox(bounds);
-
-  // Full join: flow and (left, right) winner per root cell.
-  struct Cell {
-    RequestCount flow = dp::kInvalidFlow;
-    std::uint32_t left = 0;
-    std::uint32_t right = 0;
-  };
-  std::vector<Cell> table(rbox.size());
-  std::vector<int> digits(rbox.dims());
-  if (operands.empty()) {
-    table[0].flow = 0;
-  } else {
-    // Valid cells of an operand (the empty cell for a lone leaf's missing
-    // partner) with their offsets in the root box, in ascending flat order.
-    struct Entry {
-      std::uint32_t flat;
-      RequestCount flow;
-      std::size_t dot;
-    };
-    const auto entries = [&](std::size_t k) {
-      std::vector<Entry> out;
-      if (k >= operands.size()) return std::vector<Entry>{{0, 0, 0}};
-      const dp::Box& box = s.slot_boxes[operands[k]];
-      const auto& flow = s.slot_flows[operands[k]];
-      std::vector<int> d;
-      for (std::size_t flat = 0; flat < box.size(); ++flat) {
-        if (flow[flat] == dp::kInvalidFlow) continue;
-        box.decode(flat, d);
-        out.push_back({static_cast<std::uint32_t>(flat), flow[flat],
-                       rbox.flat(d)});
-      }
-      return out;
-    };
-    const std::vector<Entry> left = entries(0);
-    const std::vector<Entry> right = entries(1);
-    for (const Entry& a : left) {
-      for (const Entry& b : right) {
-        const RequestCount sum = a.flow + b.flow;
-        if (sum > cap) continue;
-        Cell& cell = table[a.dot + b.dot];
-        if (sum < cell.flow) cell = Cell{sum, a.flat, b.flat};
-      }
-    }
-  }
+  const detail::UnprunedDp dp(topo, scen, modes, dims, replica_dims);
+  const RequestCount base = scen.client_mass(root);
+  if (base > modes.max_capacity()) return {};
+  const std::optional<detail::Table> table = dp.combined(root);
+  if (!table) return {};
 
   struct Candidate {
     RootPrice price;
-    std::uint32_t flat;
-    std::int8_t root_mode;
+    std::uint64_t key;
+    int root_mode;
+    const detail::Cell* cell;
   };
   std::vector<Candidate> candidates;
-  const RequestCount base = scen.client_mass(root);
-  for (std::size_t flat = 0; flat < table.size(); ++flat) {
-    if (table[flat].flow == dp::kInvalidFlow) continue;
-    const RequestCount f = table[flat].flow + base;
-    if (f > cap) continue;
-    rbox.decode(flat, digits);
-    if (f == 0) {
-      candidates.push_back(
-          {price(digits), static_cast<std::uint32_t>(flat), -1});
-    }
+  for (const auto& [key, cell] : *table) {
+    const RequestCount f = cell.flow + base;
+    if (f > modes.max_capacity()) continue;
+    if (f == 0) candidates.push_back({price(dp.decode(key)), key, -1, &cell});
     for (int w = modes.mode_for_load(f); w < modes.count(); ++w) {
-      std::vector<int> counts = digits;
-      for (const std::size_t d : root_dims(w)) counts[d] += 1;
-      candidates.push_back({price(counts), static_cast<std::uint32_t>(flat),
-                            static_cast<std::int8_t>(w)});
+      candidates.push_back(
+          {price(dp.decode(dp.add_replica(key, root, w))), key, w, &cell});
     }
   }
   std::sort(candidates.begin(), candidates.end(),
@@ -181,7 +228,7 @@ inline std::vector<PowerParetoPoint> full_root_scan(
               if (a.price.servers != b.price.servers) {
                 return a.price.servers < b.price.servers;
               }
-              if (a.flat != b.flat) return a.flat < b.flat;
+              if (a.key != b.key) return a.key < b.key;
               return a.root_mode < b.root_mode;
             });
   constexpr double kEps = 1e-9;
@@ -205,15 +252,7 @@ inline std::vector<PowerParetoPoint> full_root_scan(
   for (const Candidate& c : swept) {
     PowerParetoPoint point;
     if (c.root_mode >= 0) point.placement.add(root, c.root_mode);
-    if (!operands.empty()) {
-      const Cell& cell = table[c.flat];
-      detail::walk_slot(topo, cache, plans, s, children, mplan, operands[0],
-                        cell.left, point.placement);
-      if (operands.size() == 2) {
-        detail::walk_slot(topo, cache, plans, s, children, mplan,
-                          operands[1], cell.right, point.placement);
-      }
-    }
+    detail::add_witness(c.cell->witness, point.placement);
     point.breakdown = evaluate_cost(topo, scen, point.placement, costs);
     point.cost = point.breakdown.cost;
     point.power = total_power(point.placement, modes);
@@ -239,13 +278,22 @@ using PowerEngineFn = std::function<PowerDPResult(
     const Topology&, const Scenario&, const ModeSet&, const CostModel&,
     const PowerDPOptions&)>;
 
-/// One engine's side of the near-tie fuzz: its solve entry point, its
-/// count-vector width, and its candidate pricing for one instance.
+/// One engine's side of the oracle comparisons: its solve entry point,
+/// its count-vector width, its candidate pricing and its replica
+/// dimensions for one instance.
 struct RootFuzzEngine {
   PowerEngineFn solve;
   std::size_t dims = 0;
   std::function<PriceFn(const Scenario&)> price;
-  std::function<RootDimsFn(const Topology&, const Scenario&)> root_dims;
+  std::function<ReplicaDimsFn(const Scenario&)> replica_dims;
+
+  std::vector<PowerParetoPoint> oracle(const Tree& tree, const ModeSet& modes,
+                                       const CostModel& costs,
+                                       std::size_t* near_ties = nullptr) const {
+    return unpruned_frontier(tree.topology(), tree.scenario(), modes, costs,
+                             dims, price(tree.scenario()),
+                             replica_dims(tree.scenario()), near_ties);
+  }
 };
 
 struct RootFuzzConfig {
@@ -255,7 +303,7 @@ struct RootFuzzConfig {
 };
 
 struct RootFuzzTally {
-  int oracle_trees = 0;     ///< trees also checked against the oracle
+  int oracle_trees = 0;     ///< trees also checked against exhaustive-power
   std::size_t near_ties = 0;
 };
 
@@ -271,12 +319,12 @@ inline void expect_same_frontier(const std::vector<PowerParetoPoint>& got,
   }
 }
 
-/// Solves `trees` random gen trees per config three ways — one-shot at 1
-/// and 4 solver threads, and through a cache — and demands bit-identical
-/// frontiers, witnesses and work counters among them and against the full
-/// root scan; trees of at most `oracle_nodes` internal nodes are also
-/// checked bit for bit against the exhaustive-power oracle's values.
-/// Adds the regime's coverage to `tally`.
+/// Solves `trees` random gen trees per config two ways — one-shot and
+/// through a cache — and demands bit-identical frontiers, witnesses and
+/// work counters between them and bit-identical frontiers and witnesses
+/// against the unpruned DP; trees of at most `oracle_nodes` internal
+/// nodes are also checked bit for bit against the exhaustive-power
+/// oracle's values.  Adds the regime's coverage to `tally`.
 inline void run_root_fuzz(const RootFuzzEngine& engine,
                           const RootFuzzConfig& config, std::uint64_t seed,
                           int trees, int max_nodes, int oracle_nodes,
@@ -291,32 +339,23 @@ inline void run_root_fuzz(const RootFuzzEngine& engine,
                                     nodes, num_pre, num_modes);
     const std::string context = config.name + " tree " + std::to_string(t) +
                                 " (" + std::to_string(nodes) + " nodes)";
-    PowerDPOptions serial;
-    PowerDPOptions threaded;
-    threaded.threads = 4;
     dp::PowerSubtreeCache cache;
     PowerDPOptions cached;
     cached.cache = &cache;
     const PowerDPResult one = engine.solve(tree.topology(), tree.scenario(),
-                                           config.modes, config.costs, serial);
-    const PowerDPResult four = engine.solve(
-        tree.topology(), tree.scenario(), config.modes, config.costs, threaded);
+                                           config.modes, config.costs, {});
     const PowerDPResult warm = engine.solve(
         tree.topology(), tree.scenario(), config.modes, config.costs, cached);
-    ASSERT_EQ(one.feasible, four.feasible) << context;
     ASSERT_EQ(one.feasible, warm.feasible) << context;
-    expect_same_frontier(four.frontier, one.frontier, context + " 4 threads");
     expect_same_frontier(warm.frontier, one.frontier, context + " cached");
-    EXPECT_EQ(four.stats.merge_pairs, one.stats.merge_pairs) << context;
     EXPECT_EQ(warm.stats.merge_pairs, one.stats.merge_pairs) << context;
-    if (!one.feasible) continue;
+    EXPECT_EQ(warm.stats.labels, one.stats.labels) << context;
 
-    const std::vector<PowerParetoPoint> full = full_root_scan(
-        tree.topology(), tree.scenario(), config.modes, config.costs,
-        engine.dims, cache, engine.price(tree.scenario()),
-        engine.root_dims(tree.topology(), tree.scenario()),
-        &tally.near_ties);
-    expect_same_frontier(one.frontier, full, context + " vs full root scan");
+    const std::vector<PowerParetoPoint> full =
+        engine.oracle(tree, config.modes, config.costs, &tally.near_ties);
+    ASSERT_EQ(one.feasible, !full.empty()) << context;
+    expect_same_frontier(one.frontier, full, context + " vs unpruned DP");
+    if (!one.feasible) continue;
 
     if (nodes <= oracle_nodes) {
       ++tally.oracle_trees;

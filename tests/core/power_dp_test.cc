@@ -148,55 +148,9 @@ TEST(PowerDpTest, MinPowerMatchesExhaustiveWithZeroCosts) {
   }
 }
 
-/// Full frontier comparison against the exhaustive oracle across mode
-/// structures and pre-existing densities.
-struct FrontierParam {
-  int n;
-  std::size_t num_pre;
-  int num_modes;
-  double static_power;
-  double alpha;
-};
-
-class PowerFrontierOracleTest
-    : public ::testing::TestWithParam<FrontierParam> {};
-
-TEST_P(PowerFrontierOracleTest, MatchesExhaustiveFrontier) {
-  const FrontierParam p = GetParam();
-  std::vector<RequestCount> caps;
-  for (int m = 0; m < p.num_modes; ++m) {
-    caps.push_back(static_cast<RequestCount>(4 + 3 * m));
-  }
-  const ModeSet modes(caps, p.static_power, p.alpha);
-  const CostModel costs = CostModel::uniform(p.num_modes, 0.1, 0.01, 0.001);
-  for (std::uint64_t i = 0; i < 12; ++i) {
-    const Tree tree =
-        make_random_small(666 + static_cast<std::uint64_t>(p.n), i, p.n, 1,
-                          modes.max_capacity(), p.num_pre, p.num_modes);
-    const PowerDPResult dp = solve_power_exact(tree, modes, costs);
-    const auto oracle = exhaustive_cost_power_frontier(tree, modes, costs);
-    ASSERT_EQ(dp.feasible, !oracle.empty()) << "tree " << i;
-    ASSERT_EQ(dp.frontier.size(), oracle.size()) << "tree " << i;
-    for (std::size_t k = 0; k < oracle.size(); ++k) {
-      EXPECT_NEAR(dp.frontier[k].cost, oracle[k].cost, 1e-9)
-          << "tree " << i << " point " << k;
-      EXPECT_NEAR(dp.frontier[k].power, oracle[k].power, 1e-9)
-          << "tree " << i << " point " << k;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Structures, PowerFrontierOracleTest,
-    ::testing::Values(FrontierParam{6, 0, 2, 1.0, 2.0},
-                      FrontierParam{7, 2, 2, 1.0, 2.0},
-                      FrontierParam{8, 3, 2, 0.0, 3.0},
-                      FrontierParam{6, 2, 3, 2.0, 2.0},
-                      FrontierParam{5, 5, 3, 1.0, 2.5},
-                      FrontierParam{7, 0, 1, 1.0, 2.0}));
-
-/// The exact engine's side of the near-tie fuzz: its make_candidate
-/// pricing over (n_w, e_{o,w}), copied operation for operation.
+/// The exact engine's side of the oracle comparisons: its make_candidate
+/// pricing over (n_w, e_{o,w}) and its replica dimensions, copied
+/// operation for operation.
 testing::RootFuzzEngine exact_fuzz_engine(const ModeSet& modes,
                                           const CostModel& costs) {
   const int m = modes.count();
@@ -245,16 +199,66 @@ testing::RootFuzzEngine exact_fuzz_engine(const ModeSet& modes,
       return p;
     };
   };
-  engine.root_dims = [dim_reused](const Topology& topo,
-                                  const Scenario& scen) {
-    return [dim_reused, &scen, root = topo.root()](int w) {
+  engine.replica_dims = [dim_reused](const Scenario& scen) {
+    return [dim_reused, &scen](NodeId node, int w) {
       return std::vector<std::size_t>{
-          scen.pre_existing(root) ? dim_reused(scen.original_mode(root), w)
+          scen.pre_existing(node) ? dim_reused(scen.original_mode(node), w)
                                   : static_cast<std::size_t>(w)};
     };
   };
   return engine;
 }
+
+/// Full frontier comparison against the exhaustive oracle across mode
+/// structures and pre-existing densities.
+struct FrontierParam {
+  int n;
+  std::size_t num_pre;
+  int num_modes;
+  double static_power;
+  double alpha;
+};
+
+class PowerFrontierOracleTest
+    : public ::testing::TestWithParam<FrontierParam> {};
+
+TEST_P(PowerFrontierOracleTest, MatchesExhaustiveFrontier) {
+  const FrontierParam p = GetParam();
+  std::vector<RequestCount> caps;
+  for (int m = 0; m < p.num_modes; ++m) {
+    caps.push_back(static_cast<RequestCount>(4 + 3 * m));
+  }
+  const ModeSet modes(caps, p.static_power, p.alpha);
+  const CostModel costs = CostModel::uniform(p.num_modes, 0.1, 0.01, 0.001);
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    const Tree tree =
+        make_random_small(666 + static_cast<std::uint64_t>(p.n), i, p.n, 1,
+                          modes.max_capacity(), p.num_pre, p.num_modes);
+    const PowerDPResult dp = solve_power_exact(tree, modes, costs);
+    const auto oracle = exhaustive_cost_power_frontier(tree, modes, costs);
+    ASSERT_EQ(dp.feasible, !oracle.empty()) << "tree " << i;
+    // Witnesses too: bit for bit against the unpruned count-vector DP.
+    testing::expect_same_frontier(
+        dp.frontier, exact_fuzz_engine(modes, costs).oracle(tree, modes, costs),
+        "tree " + std::to_string(i));
+    ASSERT_EQ(dp.frontier.size(), oracle.size()) << "tree " << i;
+    for (std::size_t k = 0; k < oracle.size(); ++k) {
+      EXPECT_NEAR(dp.frontier[k].cost, oracle[k].cost, 1e-9)
+          << "tree " << i << " point " << k;
+      EXPECT_NEAR(dp.frontier[k].power, oracle[k].power, 1e-9)
+          << "tree " << i << " point " << k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Structures, PowerFrontierOracleTest,
+    ::testing::Values(FrontierParam{6, 0, 2, 1.0, 2.0},
+                      FrontierParam{7, 2, 2, 1.0, 2.0},
+                      FrontierParam{8, 3, 2, 0.0, 3.0},
+                      FrontierParam{6, 2, 3, 2.0, 2.0},
+                      FrontierParam{5, 5, 3, 1.0, 2.5},
+                      FrontierParam{7, 0, 1, 1.0, 2.0}));
 
 TEST(PowerDpTest, ParetoRootJoinMatchesFullRootScanOnNearTies) {
   // The exact-engine twin of the symmetric fuzz (power_symmetric_test.cc):

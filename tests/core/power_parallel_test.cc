@@ -1,15 +1,16 @@
-// Sharded DP merges must be bit-identical to the serial solve.
+// Solver threads must not change a power solve.
 //
-// dp::sharded_merge promises that the parallel per-child merges reproduce
-// the serial tables — flows *and* decisions — exactly, for any thread
-// count.  These tests assert the user-visible consequence on both power
-// DPs: identical frontiers (values and witness placements), identical
-// selected placements and identical work counters across thread counts,
-// over a batch of randomized instances.  Run under TSan in CI, they are
-// also the race-freedom net for the solver-internal parallelism.
+// Solver::Options::threads (the CLI's --solver-threads) is accepted by
+// every strategy; the power DPs' label tables solve serially whatever its
+// value.  These tests assert the user-visible promise on both power DPs:
+// identical frontiers (values and witness placements), identical selected
+// placements and identical work counters across thread counts, over a
+// batch of randomized instances.  Run under TSan in CI, they also cover
+// solvers configured with threads shared by concurrent callers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "core/power_dp.h"
 #include "gen/preexisting.h"
@@ -34,8 +35,7 @@ Tree make_instance_tree(std::uint64_t index, int num_internal) {
   return tree;
 }
 
-void expect_identical(const PowerDPResult& serial,
-                      const PowerDPResult& parallel) {
+void expect_identical(const Solution& serial, const Solution& parallel) {
   ASSERT_EQ(parallel.feasible, serial.feasible);
   ASSERT_EQ(parallel.frontier.size(), serial.frontier.size());
   for (std::size_t i = 0; i < serial.frontier.size(); ++i) {
@@ -43,37 +43,35 @@ void expect_identical(const PowerDPResult& serial,
     EXPECT_DOUBLE_EQ(parallel.frontier[i].power, serial.frontier[i].power);
     EXPECT_EQ(parallel.frontier[i].placement, serial.frontier[i].placement);
   }
-  // The shards visit exactly the serial pair set.
-  EXPECT_EQ(parallel.stats.merge_pairs, serial.stats.merge_pairs);
-  EXPECT_EQ(parallel.stats.table_cells, serial.stats.table_cells);
+  EXPECT_EQ(parallel.stats.work, serial.stats.work);
+}
+
+Solution solve_with_threads(const std::string& algo, const Tree& tree,
+                            int threads) {
+  const ModeSet modes({5, 10}, 12.5, 3.0);
+  const CostModel costs = CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001);
+  const auto solver = make_solver(algo);
+  solver->set_options(Solver::Options{threads});
+  return solver->solve(Instance{tree.topology_ptr(), tree.scenario(), modes,
+                                costs, std::nullopt});
 }
 
 TEST(PowerParallelTest, SymmetricDpIdenticalAcrossThreadCounts) {
-  const ModeSet modes({5, 10}, 12.5, 3.0);
-  const CostModel costs = CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001);
   for (std::uint64_t index = 0; index < 4; ++index) {
     const Tree tree = make_instance_tree(index, 24);
-    const PowerDPResult serial = solve_power_symmetric(tree, modes, costs);
-    for (const std::size_t threads : {2, 3, 8}) {
-      const PowerDPResult parallel =
-          solve_power_symmetric(tree, modes, costs,
-                                PowerDPOptions{.threads = threads});
-      expect_identical(serial, parallel);
+    const Solution serial = solve_with_threads("power-sym", tree, 1);
+    for (const int threads : {2, 3, 8}) {
+      expect_identical(serial, solve_with_threads("power-sym", tree, threads));
     }
   }
 }
 
 TEST(PowerParallelTest, ExactDpIdenticalAcrossThreadCounts) {
-  const ModeSet modes({5, 10}, 12.5, 3.0);
-  const CostModel costs = CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001);
   const Tree tree = make_instance_tree(/*index=*/1, /*num_internal=*/14);
-  const PowerDPResult serial = solve_power_exact(tree, modes, costs);
+  const Solution serial = solve_with_threads("power-exact", tree, 1);
   ASSERT_TRUE(serial.feasible);
-  for (const std::size_t threads : {2, 4}) {
-    const PowerDPResult parallel =
-        solve_power_exact(tree, modes, costs,
-                          PowerDPOptions{.threads = threads});
-    expect_identical(serial, parallel);
+  for (const int threads : {2, 4}) {
+    expect_identical(serial, solve_with_threads("power-exact", tree, threads));
   }
 }
 

@@ -54,64 +54,9 @@ TEST(PowerSymmetricTest, EntryPointsSolveBothCostModels) {
   EXPECT_TRUE(solve_power_exact(f.tree, modes, asym).feasible);
 }
 
-/// The core guarantee: the reduced state space loses nothing.  Frontier
-/// equality with the exact DP over random instances and cost regimes.
-struct EquivParam {
-  int n;
-  std::size_t num_pre;
-  double create;
-  double del;
-  double changed_diff;
-  double changed_same;
-};
-
-class SymmetricEquivalenceTest
-    : public ::testing::TestWithParam<EquivParam> {};
-
-TEST_P(SymmetricEquivalenceTest, FrontierMatchesExactDp) {
-  const EquivParam p = GetParam();
-  const ModeSet modes({5, 10}, 2.0, 2.0);
-  const CostModel costs = CostModel::uniform(2, p.create, p.del,
-                                             p.changed_diff, p.changed_same);
-  for (std::uint64_t i = 0; i < 12; ++i) {
-    const Tree tree = make_random_small(
-        232 + static_cast<std::uint64_t>(p.n), i, p.n, 1, 9, p.num_pre, 2);
-    const PowerDPResult exact = solve_power_exact(tree, modes, costs);
-    const PowerDPResult sym = solve_power_symmetric(tree, modes, costs);
-    ASSERT_EQ(exact.feasible, sym.feasible) << "tree " << i;
-    ASSERT_EQ(exact.frontier.size(), sym.frontier.size()) << "tree " << i;
-    for (std::size_t k = 0; k < exact.frontier.size(); ++k) {
-      EXPECT_NEAR(exact.frontier[k].cost, sym.frontier[k].cost, 1e-9)
-          << "tree " << i << " point " << k;
-      EXPECT_NEAR(exact.frontier[k].power, sym.frontier[k].power, 1e-9)
-          << "tree " << i << " point " << k;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    CostRegimes, SymmetricEquivalenceTest,
-    ::testing::Values(
-        EquivParam{8, 3, 0.1, 0.01, 0.001, 0.001},  // paper Exp. 3
-        EquivParam{8, 3, 1.0, 1.0, 0.1, 0.1},       // paper Fig. 11
-        EquivParam{8, 3, 0.1, 0.01, 0.001, 0.0},    // changed_{o,o} = 0
-        EquivParam{10, 0, 0.1, 0.01, 0.001, 0.0},   // NoPre
-        EquivParam{9, 9, 0.5, 0.3, 0.2, 0.0},       // all pre-existing
-        EquivParam{8, 4, 0.0, 0.0, 0.0, 0.0}));     // pure MinPower
-
-TEST(PowerSymmetricTest, MuchSmallerTablesThanExact) {
-  const Tree tree = make_random_small(343, 0, 14, 1, 9, 5, 2);
-  const ModeSet modes({5, 10}, 2.0, 2.0);
-  const CostModel costs = CostModel::uniform(2, 0.1, 0.01, 0.001);
-  const PowerDPResult exact = solve_power_exact(tree, modes, costs);
-  const PowerDPResult sym = solve_power_symmetric(tree, modes, costs);
-  ASSERT_TRUE(exact.feasible && sym.feasible);
-  EXPECT_LT(sym.stats.table_cells, exact.stats.table_cells);
-}
-
-/// The symmetric engine's side of the near-tie fuzz: its make_candidate
-/// pricing over (m_0..m_{M-1}, e_same, e_changed), copied operation for
-/// operation.
+/// The symmetric engine's side of the oracle comparisons: its
+/// make_candidate pricing over (m_0..m_{M-1}, e_same, e_changed) and its
+/// replica dimensions, copied operation for operation.
 testing::RootFuzzEngine symmetric_fuzz_engine(const ModeSet& modes,
                                               const CostModel& costs) {
   const int m = modes.count();
@@ -145,17 +90,77 @@ testing::RootFuzzEngine symmetric_fuzz_engine(const ModeSet& modes,
       return p;
     };
   };
-  engine.root_dims = [m](const Topology& topo, const Scenario& scen) {
-    return [m, &scen, root = topo.root()](int w) {
+  engine.replica_dims = [m](const Scenario& scen) {
+    return [m, &scen](NodeId node, int w) {
       std::vector<std::size_t> dims{static_cast<std::size_t>(w)};
-      if (scen.pre_existing(root)) {
+      if (scen.pre_existing(node)) {
         dims.push_back(static_cast<std::size_t>(m) +
-                       (w == scen.original_mode(root) ? 0 : 1));
+                       (w == scen.original_mode(node) ? 0 : 1));
       }
       return dims;
     };
   };
   return engine;
+}
+
+/// The core guarantee: the reduced state space loses nothing.  Frontier
+/// equality with the exact DP over random instances and cost regimes.
+struct EquivParam {
+  int n;
+  std::size_t num_pre;
+  double create;
+  double del;
+  double changed_diff;
+  double changed_same;
+};
+
+class SymmetricEquivalenceTest
+    : public ::testing::TestWithParam<EquivParam> {};
+
+TEST_P(SymmetricEquivalenceTest, FrontierMatchesExactDp) {
+  const EquivParam p = GetParam();
+  const ModeSet modes({5, 10}, 2.0, 2.0);
+  const CostModel costs = CostModel::uniform(2, p.create, p.del,
+                                             p.changed_diff, p.changed_same);
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    const Tree tree = make_random_small(
+        232 + static_cast<std::uint64_t>(p.n), i, p.n, 1, 9, p.num_pre, 2);
+    const PowerDPResult exact = solve_power_exact(tree, modes, costs);
+    const PowerDPResult sym = solve_power_symmetric(tree, modes, costs);
+    ASSERT_EQ(exact.feasible, sym.feasible) << "tree " << i;
+    ASSERT_EQ(exact.frontier.size(), sym.frontier.size()) << "tree " << i;
+    // Each engine's witnesses, bit for bit against its unpruned DP.
+    testing::expect_same_frontier(
+        sym.frontier,
+        symmetric_fuzz_engine(modes, costs).oracle(tree, modes, costs),
+        "sym tree " + std::to_string(i));
+    for (std::size_t k = 0; k < exact.frontier.size(); ++k) {
+      EXPECT_NEAR(exact.frontier[k].cost, sym.frontier[k].cost, 1e-9)
+          << "tree " << i << " point " << k;
+      EXPECT_NEAR(exact.frontier[k].power, sym.frontier[k].power, 1e-9)
+          << "tree " << i << " point " << k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CostRegimes, SymmetricEquivalenceTest,
+    ::testing::Values(
+        EquivParam{8, 3, 0.1, 0.01, 0.001, 0.001},  // paper Exp. 3
+        EquivParam{8, 3, 1.0, 1.0, 0.1, 0.1},       // paper Fig. 11
+        EquivParam{8, 3, 0.1, 0.01, 0.001, 0.0},    // changed_{o,o} = 0
+        EquivParam{10, 0, 0.1, 0.01, 0.001, 0.0},   // NoPre
+        EquivParam{9, 9, 0.5, 0.3, 0.2, 0.0},       // all pre-existing
+        EquivParam{8, 4, 0.0, 0.0, 0.0, 0.0}));     // pure MinPower
+
+TEST(PowerSymmetricTest, MuchSmallerTablesThanExact) {
+  const Tree tree = make_random_small(343, 0, 14, 1, 9, 5, 2);
+  const ModeSet modes({5, 10}, 2.0, 2.0);
+  const CostModel costs = CostModel::uniform(2, 0.1, 0.01, 0.001);
+  const PowerDPResult exact = solve_power_exact(tree, modes, costs);
+  const PowerDPResult sym = solve_power_symmetric(tree, modes, costs);
+  ASSERT_TRUE(exact.feasible && sym.feasible);
+  EXPECT_LT(sym.stats.labels, exact.stats.labels);
 }
 
 TEST(PowerSymmetricTest, ParetoRootJoinMatchesFullRootScanOnNearTies) {

@@ -280,6 +280,82 @@ TEST(StreamServerTest, OversizedLineIsRejectedBeforeItIsBuffered) {
   EXPECT_LE(buf.consumed(), 2u << 20);
 }
 
+/// Output that reaches its device only on flush (or a full buffer), so a
+/// test can see what a pipe reader would have received.
+class DeviceBuf : public std::streambuf {
+ public:
+  DeviceBuf() { setp(buffer_, buffer_ + sizeof(buffer_)); }
+  const std::string& device() const { return device_; }
+
+ protected:
+  int sync() override {
+    device_.append(pbase(), pptr());
+    setp(buffer_, buffer_ + sizeof(buffer_));
+    return 0;
+  }
+  int_type overflow(int_type c) override {
+    sync();
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      *pptr() = traits_type::to_char_type(c);
+      pbump(1);
+    }
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  char buffer_[4096];
+  std::string device_;
+};
+
+/// Input that hands out `head`, then reaches the point where a pipe read
+/// would block: it records what `out` had delivered by then, and ends.
+class BlockingAfterHeadBuf : public std::streambuf {
+ public:
+  BlockingAfterHeadBuf(std::string head, const DeviceBuf& out)
+      : head_(std::move(head)), out_(out) {
+    setg(head_.data(), head_.data(), head_.data() + head_.size());
+  }
+  bool blocked() const { return blocked_; }
+  const std::string& delivered_when_blocked() const { return delivered_; }
+
+ protected:
+  int_type underflow() override {
+    if (!blocked_) {
+      blocked_ = true;
+      delivered_ = out_.device();
+    }
+    return traits_type::eof();
+  }
+
+ private:
+  std::string head_;
+  const DeviceBuf& out_;
+  bool blocked_ = false;
+  std::string delivered_;
+};
+
+TEST(StreamServerTest, ResultsAreWrittenBeforeAReadThatWouldBlock) {
+  // The scenario header completes the tree record; then the producer
+  // pauses.  The tree's result must reach the output device before the
+  // server blocks on the next read, or a producer that waits for it
+  // would hang.
+  DeviceBuf device;
+  std::ostream out(&device);
+  BlockingAfterHeadBuf buf(serialize_tree(make_tree(0)) +
+                               "treeplace-scenario v1 1\nR 3 7\n",
+                           device);
+  std::istream in(&buf);
+  StreamServer server(single_mode_config(2));
+  const StreamServerSummary summary = server.serve(in, out);
+
+  EXPECT_FALSE(summary.stream_error);
+  ASSERT_TRUE(buf.blocked());
+  const auto early = result_lines(buf.delivered_when_blocked());
+  ASSERT_EQ(early.size(), 1u) << buf.delivered_when_blocked();
+  EXPECT_NE(early[0].find("id=1 topo=1 status=ok"), std::string::npos);
+  EXPECT_EQ(result_lines(device.device()).size(), 2u) << device.device();
+}
+
 TEST(ServeCoreTest, ConnectionHoldsAtMostQueueCapacityResults) {
   // Finished results wait in their connection until every earlier one is
   // written; the core stops submitting for a connection that holds

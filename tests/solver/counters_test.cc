@@ -30,7 +30,7 @@ namespace {
   static_assert(std::is_same_v<decltype(expr), std::uint64_t>)
 
 TREEPLACE_ASSERT_U64(PowerSolveStats::merge_pairs);
-TREEPLACE_ASSERT_U64(PowerSolveStats::table_cells);
+TREEPLACE_ASSERT_U64(PowerSolveStats::labels);
 TREEPLACE_ASSERT_U64(PowerSolveStats::merge_steps);
 TREEPLACE_ASSERT_U64(PowerSolveStats::nodes_recomputed);
 TREEPLACE_ASSERT_U64(PowerSolveStats::nodes_reused);
@@ -44,6 +44,7 @@ TREEPLACE_ASSERT_U64(SolveSession::Stats::nodes_reused);
 TREEPLACE_ASSERT_U64(SolveSession::Stats::merge_steps);
 TREEPLACE_ASSERT_U64(SolveSession::Stats::signatures_checked);
 TREEPLACE_ASSERT_U64(SolveSession::Stats::cells_skipped);
+TREEPLACE_ASSERT_U64(SolveSession::Stats::labels);
 TREEPLACE_ASSERT_U64(SolveSession::Stats::bytes_resident);
 TREEPLACE_ASSERT_U64(SolveSession::Stats::snapshots_dropped);
 TREEPLACE_ASSERT_U64(SolveSession::Stats::tables_dropped);

@@ -283,31 +283,22 @@ TEST(IncrementalSolveTest, StarDeltaRedoesLogKMergeSteps) {
 }
 
 TEST(IncrementalSolveTest, WarmSolveSplicesCellsThroughLazyJoins) {
-  // One dirty arm of a wide star: the root's re-joined slots see one
+  // One dirty arm of a wide star: update-dp's re-joined root slots see one
   // changed operand with a small value diff, so the lazy kernel path must
   // splice (not recompute) the cells outside the delta's footprint —
   // while staying bit-identical to a cold solve and doing no more work.
-  // (At 48 arms the power DPs' largest re-joined slots are too small for
-  // a splice to beat the full join, so dp::lazy_join_pays declines them.)
+  // (The power DPs' label tables have no lazy joins.)
   constexpr int kFanout = 64;
-  for (const char* algo : {"power-sym", "power-exact", "update-dp"}) {
+  {
+    const std::string algo = "update-dp";
     Tree tree = make_star_tree(kFanout);
-    const bool single_mode = std::string(algo) == "update-dp";
-    const ModeSet modes =
-        single_mode ? ModeSet::single(10) : ModeSet({5, 10}, 12.5, 3.0);
-    const CostModel costs =
-        single_mode ? CostModel::simple(0.1, 0.01)
-                    : CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001);
     const auto warm_solver = make_solver(algo);
     const auto cold_solver = make_solver(algo);
     SolveSession session(tree.topology_ptr());
 
     const auto instance = [&] {
-      return single_mode
-                 ? Instance::single_mode(tree.topology_ptr(), tree.scenario(),
-                                         10, 0.1, 0.01)
-                 : Instance{tree.topology_ptr(), tree.scenario(), modes,
-                            costs, std::nullopt};
+      return Instance::single_mode(tree.topology_ptr(), tree.scenario(), 10,
+                                   0.1, 0.01);
     };
     warm_solver->solve(SolveRequest{instance(), {}, &session});
     // A cold solve has no snapshots to splice from.
@@ -320,7 +311,7 @@ TEST(IncrementalSolveTest, WarmSolveSplicesCellsThroughLazyJoins) {
     const Solution warm =
         warm_solver->solve(SolveRequest{instance(), deltas, &session});
     const Solution cold = cold_solver->solve(instance());
-    expect_identical(warm, cold, std::string(algo) + " lazy warm");
+    expect_identical(warm, cold, algo + " lazy warm");
     EXPECT_LE(warm.stats.work, cold.stats.work) << algo;
     EXPECT_GT(session.stats().cells_skipped, 0u)
         << algo << ": a one-arm delta must splice root-join cells";
@@ -331,26 +322,19 @@ TEST(IncrementalSolveTest, BurstDeltaBatchKeepsTheLazyJoinPath) {
   // A burst: several clients across different arms change in one step, so
   // the root's merge tree sees joins where BOTH operands moved.  The
   // two-sided lazy kernel must still splice cells (not bail to full
-  // rebuilds) while staying bit-identical to a cold solve.
+  // rebuilds) while staying bit-identical to a cold solve.  (update-dp
+  // only: the power DPs' label tables have no lazy joins.)
   constexpr int kFanout = 48;
-  for (const char* algo : {"power-sym", "power-exact", "update-dp"}) {
+  {
+    const std::string algo = "update-dp";
     Tree tree = make_star_tree(kFanout);
-    const bool single_mode = std::string(algo) == "update-dp";
-    const ModeSet modes =
-        single_mode ? ModeSet::single(10) : ModeSet({5, 10}, 12.5, 3.0);
-    const CostModel costs =
-        single_mode ? CostModel::simple(0.1, 0.01)
-                    : CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001);
     const auto warm_solver = make_solver(algo);
     const auto cold_solver = make_solver(algo);
     SolveSession session(tree.topology_ptr());
 
     const auto instance = [&] {
-      return single_mode
-                 ? Instance::single_mode(tree.topology_ptr(), tree.scenario(),
-                                         10, 0.1, 0.01)
-                 : Instance{tree.topology_ptr(), tree.scenario(), modes,
-                            costs, std::nullopt};
+      return Instance::single_mode(tree.topology_ptr(), tree.scenario(), 10,
+                                   0.1, 0.01);
     };
     warm_solver->solve(SolveRequest{instance(), {}, &session});
 
@@ -371,7 +355,7 @@ TEST(IncrementalSolveTest, BurstDeltaBatchKeepsTheLazyJoinPath) {
       const Solution warm =
           warm_solver->solve(SolveRequest{instance(), deltas, &session});
       expect_identical(warm, cold_solver->solve(instance()),
-                       std::string(algo) + " burst step " +
+                       algo + " burst step " +
                            std::to_string(step));
       if (session.stats().cells_skipped > before) ++spliced_steps;
     }

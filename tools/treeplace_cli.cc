@@ -75,9 +75,9 @@ constexpr int kExitUsage = 2;
       "               per tree, shared solver instance)\n"
       "               --algo NAME        solver to run (see --list-algos)\n"
       "               --list-algos       list registered solvers and exit\n"
-      "               --threads K        solver-internal threads (power DPs\n"
-      "                                  shard child merges; results are\n"
-      "                                  bit-identical to --threads 1)\n"
+      "               --threads K        solver-internal threads (accepted;\n"
+      "                                  the built-in solvers run serially,\n"
+      "                                  so results match --threads 1)\n"
       "               --capacity W       single-mode capacity (default 10)\n"
       "               --modes W1,W2,...  mode capacities (multi-mode)\n"
       "               --static P --alpha A      power model (Eq. 3)\n"
@@ -606,6 +606,9 @@ int cmd_serve(const Args& args) {
 
   if (args.has("listen")) return cmd_serve_net(args, std::move(config));
 
+  // An unsynchronized cin buffers reads, so StreamServer can tell a read
+  // that would block (it then writes the finished results first).
+  std::ios::sync_with_stdio(false);
   serve::StreamServer server(std::move(config));
   const serve::StreamServerSummary summary = server.serve(std::cin, std::cout);
   if (summary.stream_error) {
