@@ -118,12 +118,10 @@ int main(int argc, char** argv) {
     for (const Variant& variant : variants) {
       // Warm the scratch and page the tables in before timing.
       dp::JoinStats stats =
-          dp::join_slots(in, flow, dec, nullptr, scratch, nullptr,
-                         variant.cfg);
+          dp::join_slots(in, flow, dec, scratch, nullptr, variant.cfg);
       Stopwatch watch;
       for (std::size_t r = 0; r < reps; ++r) {
-        stats = dp::join_slots(in, flow, dec, nullptr, scratch, nullptr,
-                               variant.cfg);
+        stats = dp::join_slots(in, flow, dec, scratch, nullptr, variant.cfg);
       }
       const double seconds = watch.seconds();
       const std::uint64_t checksum = flow_checksum(flow);

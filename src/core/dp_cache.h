@@ -33,11 +33,12 @@
 // legacy no-hint callers keep their correctness unconditionally.
 //
 // Engine parameters that shape the tables are folded into a params
-// signature: W for the MinCost DP; for the power DPs the mode capacities
-// and also the mode powers and cost coefficients, because they price the
-// labels that pruning compares (core/pareto_root.h).  Any change wipes the
-// cache, so a session never mixes tables across incompatible solves and a
-// warm solve prunes exactly like its cold twin.
+// signature: W for the MinCost DP; for the power DPs the mode count, the
+// key's width and the mode capacities, and also the mode powers and cost
+// coefficients, because they price the labels that pruning compares
+// (core/pareto_root.h).  Any change wipes the cache, so a session never
+// mixes tables across incompatible solves and a warm solve prunes exactly
+// like its cold twin.
 //
 // Snapshot format (core/dp_snapshot.h + support/binio.h): a SubtreeCache
 // serializes to an endian-stable binary record so a SolveSession can be
@@ -51,7 +52,7 @@
 //       power DPs — the folded label table, incl_bounds, then the slot
 //         count and every merge-plan slot's label table; a label table is
 //         its box bounds, a label count, and per label flow u64, flat
-//         u32, operand positions u32 u32 and mode i8;
+//         u64, operand positions u32 u32 and mode i8;
 //       MinCost DP — eb, nb, the folded flow table, the slot decisions,
 //         slot_eb, slot_nb and the slot flow tables (PackedTable /
 //         PackedDecisions encodings);
@@ -59,8 +60,10 @@
 //
 // The enclosing session file adds a magic ("TPSNAP01"), a format version,
 // the topology's structural_hash, and a CRC32 trailer; restore rejects any
-// mismatch or truncation as a whole (no partial restore), and an older
-// version starts the session cold.  Because the signatures, validity
+// mismatch or truncation as a whole (no partial restore), as well as
+// power label tables no solve could have built (boxes that do not match
+// the tree, labels out of order, decisions past their lists), and an
+// older version starts the session cold.  Because the signatures, validity
 // flags, dirty counts and the last_touched hint all round-trip, a restored
 // cache plans exactly the warm solve the in-memory cache would have —
 // work counters and results are bit-identical.
@@ -139,18 +142,27 @@ inline std::size_t packed_decisions_bytes(
 /// slot, `dec` holds the two operand labels' positions (internal slot) or
 /// the child's folded label and the mode of a replica on the child (leaf
 /// slot); a folded table's label carries its root-slot label's decision.
+/// Flats are 64-bit: a box holds every count vector the subtree's nodes
+/// could reach, (n+1)^M x (|E|+1)^2 cells for the symmetric key, which
+/// passes 2^32 on a few hundred nodes while the list stays a few dozen
+/// labels long.
 struct Label {
   RequestCount flow = 0;
-  std::uint32_t flat = 0;
+  std::uint64_t flat = 0;
   Decision dec;
 };
 
+/// The box of a label table: any size up to 2^64 cells (kMaxLabelCells).
+inline Box label_box(std::vector<int> bounds) {
+  return Box(std::move(bounds), kMaxLabelCells);
+}
+
 /// A label table: the box of every count vector it can hold, and its
-/// non-dominated labels (core/pareto_root.h) in ascending flat order.
-/// A list never holds more labels than its box has valid cells — the
-/// count-vector table of the paper's DP — so Theorem 3's polynomial bound
-/// still holds; pruning only shrinks it (to a few dozen labels on the
-/// benchmark trees, against thousands of valid cells).
+/// non-dominated labels (core/pareto_root.h) in strictly ascending flat
+/// order.  A list never holds more labels than its box has valid cells —
+/// the count-vector table of the paper's DP — so Theorem 3's polynomial
+/// bound still holds; pruning only shrinks it (to a few dozen labels on
+/// the benchmark trees, against thousands of valid cells).
 struct LabelTable {
   Box box;
   std::vector<Label> labels;
@@ -479,14 +491,16 @@ class SubtreeCache {
 using PowerSubtreeCache = SubtreeCache<PowerNodeState>;
 using MinCostSubtreeCache = SubtreeCache<MinCostNodeState>;
 
-/// The params signature of the power DPs: the mode capacities (they drive
-/// box dimensionality, merge feasibility and mode_for_load), and the mode
-/// powers and cost coefficients (they price the labels that pruning
-/// compares, and derive its margins), so a warm solve prunes exactly like
-/// its cold twin.
+/// The params signature of the power DPs: the mode count and the key's
+/// count-vector width (`dims`), the mode capacities (they drive merge
+/// feasibility and mode_for_load), and the mode powers and cost
+/// coefficients (they price the labels that pruning compares, and derive
+/// its margins), so a warm solve prunes exactly like its cold twin.
 inline std::vector<std::uint64_t> capacity_params(const ModeSet& modes,
-                                                  const CostModel& costs) {
-  std::vector<std::uint64_t> params;
+                                                  const CostModel& costs,
+                                                  std::size_t dims) {
+  std::vector<std::uint64_t> params{
+      static_cast<std::uint64_t>(modes.count()), dims};
   const auto bits = [&params](double v) {
     params.push_back(std::bit_cast<std::uint64_t>(v));
   };
@@ -498,6 +512,29 @@ inline std::vector<std::uint64_t> capacity_params(const ModeSet& modes,
     for (int o = 0; o < modes.count(); ++o) bits(costs.changed(o, w));
   }
   return params;
+}
+
+/// The mode count, key width and W_M that capacity_params recorded;
+/// nullopt when `params` is not laid out as capacity_params writes it.
+struct PowerParamsShape {
+  int modes = 0;
+  std::size_t dims = 0;
+  RequestCount max_capacity = 0;
+};
+inline std::optional<PowerParamsShape> power_params_shape(
+    std::span<const std::uint64_t> params) {
+  if (params.size() < 2 || params[0] == 0 || params[0] > 127) {
+    return std::nullopt;
+  }
+  const std::uint64_t m = params[0];
+  if (params.size() != 2 + m * (m + 4)) return std::nullopt;
+  PowerParamsShape shape{static_cast<int>(m),
+                         static_cast<std::size_t>(params[1]), 0};
+  for (std::uint64_t w = 0; w < m; ++w) {
+    shape.max_capacity =
+        std::max(shape.max_capacity, RequestCount{params[2 + w * (m + 4)]});
+  }
+  return shape;
 }
 
 /// The recompute schedule of one warm (or cold) solve.

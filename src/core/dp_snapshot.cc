@@ -1,5 +1,7 @@
 #include "core/dp_snapshot.h"
 
+#include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -166,8 +168,6 @@ void write_box(binio::Writer& w, const Box& box) {
   write_int_vec(w, box.bounds());
 }
 
-Box read_box(binio::Reader& r) { return Box(read_int_vec(r)); }
-
 template <typename T, typename ReadOne>
 void read_table_vec(binio::Reader& r, TableArena& arena,
                     std::vector<ArenaTable<T>>& out, const ReadOne& read_one) {
@@ -184,7 +184,7 @@ void write_label_table(binio::Writer& w, const LabelTable& t) {
   w.u32(static_cast<std::uint32_t>(t.labels.size()));
   for (const Label& l : t.labels) {
     w.u64(l.flow);
-    w.u32(l.flat);
+    w.u64(l.flat);
     w.u32(l.dec.left);
     w.u32(l.dec.right);
     w.i8(l.dec.mode);
@@ -192,19 +192,139 @@ void write_label_table(binio::Writer& w, const LabelTable& t) {
 }
 
 void read_label_table(binio::Reader& r, LabelTable& t) {
-  t.box = read_box(r);
+  t.box = label_box(read_int_vec(r));
   const std::uint32_t n = r.u32();
-  // A list never outgrows its box (see LabelTable); 21 bytes per label.
-  TREEPLACE_CHECK_MSG(n <= t.box.size() && n <= r.remaining_bytes() / 21,
+  // A list never outgrows its box (see LabelTable); 25 bytes per label.
+  TREEPLACE_CHECK_MSG(n <= t.box.size() && n <= r.remaining_bytes() / 25,
                       "snapshot label table too large");
   t.labels.resize(n);
   for (Label& l : t.labels) {
     l.flow = r.u64();
-    l.flat = r.u32();
-    TREEPLACE_CHECK_MSG(l.flat < t.box.size(), "snapshot label out of box");
+    l.flat = r.u64();
     l.dec.left = r.u32();
     l.dec.right = r.u32();
     l.dec.mode = r.i8();
+  }
+}
+
+/// Checks one label table of a restored power cache against the box the
+/// engine derives for it (`bounds`): flats inside that box in strictly
+/// ascending order, and no flow above W_M.
+void check_label_table(const LabelTable& t, const std::vector<int>& bounds,
+                       RequestCount max_capacity) {
+  TREEPLACE_CHECK_MSG(t.box.bounds() == bounds,
+                      "snapshot label table box does not match the tree");
+  for (std::size_t k = 0; k < t.labels.size(); ++k) {
+    const Label& l = t.labels[k];
+    TREEPLACE_CHECK_MSG(l.flat < t.box.size(), "snapshot label out of box");
+    TREEPLACE_CHECK_MSG(k == 0 || t.labels[k - 1].flat < l.flat,
+                        "snapshot labels out of flat order");
+    TREEPLACE_CHECK_MSG(l.flow <= max_capacity,
+                        "snapshot label flow above W_M");
+  }
+}
+
+/// Checks that a restored power cache holds tables the engine could have
+/// left behind, so a CRC-valid file with malformed contents is rejected
+/// whole instead of being indexed out of bounds by the next solve.  A
+/// node is *fresh* when it and every node below it are valid: a solve
+/// splices, resumes and walks only fresh nodes' tables and the slots of
+/// valid nodes that cover fresh children; everything else is rebuilt
+/// before it is read, so only those are checked.  Boxes must be the ones
+/// the tree derives (a leaf slot's box is the child's incl_bounds, a join
+/// slot's the sum of its operands', a folded table's its root slot's),
+/// and every decision must index its operand lists, the child's folded
+/// list, or a mode.
+void check_power_cache(const Topology& topo, const PowerSubtreeCache& cache) {
+  const std::optional<PowerParamsShape> shape =
+      power_params_shape(cache.params());
+  std::vector<std::uint8_t> fresh(topo.num_internal(), 0);
+  MergePlanCache plans;
+  for (const NodeId j : topo.internal_post_order()) {
+    const std::size_t i = topo.internal_index(j);
+    if (!cache.valid(i)) continue;
+    TREEPLACE_CHECK_MSG(shape.has_value(), "snapshot power params malformed");
+    const PowerNodeState& s = cache.state(i);
+    const auto children = topo.internal_children(j);
+    const MergePlan& mplan = plans.get(children.size());
+    TREEPLACE_CHECK_MSG(s.slots.size() == mplan.num_slots(),
+                        "snapshot slot count does not match the merge plan");
+    // The root builds no slot for its last step: the root join pairs that
+    // step's operands.
+    const bool is_root = j == topo.root();
+    const std::uint32_t built =
+        mplan.num_slots() - (is_root && children.size() > 1 ? 1 : 0);
+    std::vector<std::uint8_t> stale(mplan.num_slots(), 0);
+    bool any_stale = false;
+    for (std::uint32_t slot = 0; slot < built; ++slot) {
+      const LabelTable& t = s.slots[slot];
+      if (slot < mplan.num_leaves()) {
+        const std::size_t c = topo.internal_index(children[slot]);
+        if (fresh[c] == 0) {
+          stale[slot] = 1;
+          any_stale = true;
+          continue;
+        }
+        const PowerNodeState& cs = cache.state(c);
+        check_label_table(t, cs.incl_bounds, shape->max_capacity);
+        for (const Label& l : t.labels) {
+          TREEPLACE_CHECK_MSG(
+              l.dec.mode >= -1 && l.dec.mode < shape->modes &&
+                  l.dec.right < cs.table.labels.size(),
+              "snapshot leaf decision out of range");
+        }
+        continue;
+      }
+      const MergePlan::Step& step = mplan.steps()[slot - mplan.num_leaves()];
+      if (stale[step.left] != 0 || stale[step.right] != 0) {
+        stale[slot] = 1;
+        continue;
+      }
+      const LabelTable& left = s.slots[step.left];
+      const LabelTable& right = s.slots[step.right];
+      std::vector<int> bounds = left.box.bounds();
+      for (std::size_t d = 0; d < bounds.size(); ++d) {
+        bounds[d] += right.box.bounds()[d];
+      }
+      check_label_table(t, bounds, shape->max_capacity);
+      for (const Label& l : t.labels) {
+        TREEPLACE_CHECK_MSG(l.dec.left < left.labels.size() &&
+                                l.dec.right < right.labels.size(),
+                            "snapshot join decision out of its operands");
+      }
+    }
+    if (any_stale) continue;
+    fresh[i] = 1;
+    if (is_root) continue;  // no folded table, no parent to read it
+    // The folded table: the root slot shifted by the client mass, its
+    // labels carrying the root slot's decisions.
+    if (children.empty()) {
+      check_label_table(s.table, std::vector<int>(shape->dims, 0),
+                        shape->max_capacity);
+    } else {
+      const LabelTable& root = s.slots[mplan.root_slot()];
+      check_label_table(s.table, root.box.bounds(), shape->max_capacity);
+      for (const Label& l : s.table.labels) {
+        TREEPLACE_CHECK_MSG(
+            std::any_of(root.labels.begin(), root.labels.end(),
+                        [&](const Label& r) {
+                          return r.flat == l.flat &&
+                                 r.dec.left == l.dec.left &&
+                                 r.dec.right == l.dec.right &&
+                                 r.dec.mode == l.dec.mode;
+                        }),
+            "snapshot folded label not in its root slot");
+      }
+    }
+    // A node's own options add at most one unit to each dimension.
+    const std::vector<int>& box = s.table.box.bounds();
+    TREEPLACE_CHECK_MSG(s.incl_bounds.size() == box.size(),
+                        "snapshot bounds have the wrong width");
+    for (std::size_t d = 0; d < box.size(); ++d) {
+      const int own = s.incl_bounds[d] - box[d];
+      TREEPLACE_CHECK_MSG(own == 0 || own == 1,
+                          "snapshot bounds do not match the folded table");
+    }
   }
 }
 
@@ -319,6 +439,7 @@ void save_cache(binio::Writer& w, const MinCostSubtreeCache& cache) {
 void load_cache(binio::Reader& r, const Topology* topo,
                 PowerSubtreeCache& cache) {
   load_cache_impl(r, topo, cache);
+  check_power_cache(*topo, cache);
 }
 void load_cache(binio::Reader& r, const Topology* topo,
                 MinCostSubtreeCache& cache) {

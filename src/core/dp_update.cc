@@ -239,8 +239,8 @@ class MinCostSolver {
   }
 
   /// Joins two merge-plan slots: counts add, flows add under the W cut.
-  /// Runs through the shared kernel (serial — this DP has no pool — and
-  /// lazy when resuming with one cleanly-diffed dirty operand).
+  /// Runs through the shared kernel (lazy when resuming with one
+  /// cleanly-diffed dirty operand).
   void merge_step(NodeState& s, const dp::MergePlan::Step& step,
                   std::uint32_t out, bool resume) {
     const int leb = s.slot_eb[step.left];
@@ -291,8 +291,7 @@ class MinCostSolver {
 
     const dp::JoinStats js =
         dp::join_slots(in, {merged.data(), merged.size()},
-                       {dec.data(), dec.size()}, /*pool=*/nullptr, scratch_,
-                       lazy_ptr);
+                       {dec.data(), dec.size()}, scratch_, lazy_ptr);
     merge_iterations_ += js.pairs;
     cells_skipped_ += js.cells_skipped;
 

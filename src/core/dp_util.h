@@ -22,8 +22,6 @@
 #include <vector>
 
 #include "support/check.h"
-#include "support/parallel.h"
-#include "support/thread_pool.h"
 #include "tree/tree.h"
 
 namespace treeplace::dp {
@@ -32,6 +30,15 @@ namespace treeplace::dp {
 inline constexpr RequestCount kInvalidFlow =
     std::numeric_limits<RequestCount>::max();
 
+/// Cell cap of a dense table's box: CompactEntry/Decision index cells
+/// with uint32, so larger tables would silently wrap.
+inline constexpr std::uint64_t kMaxDenseCells = std::uint64_t{1} << 32;
+/// Cell cap of a label table's box (core/dp_cache.h): labels carry 64-bit
+/// flats and store only their reachable cells, so only a box whose size
+/// overflows 64 bits is rejected.
+inline constexpr std::uint64_t kMaxLabelCells =
+    std::numeric_limits<std::uint64_t>::max();
+
 /// A mixed-radix index space: digit d ranges over [0, bounds[d]].
 /// Zero-dimensional boxes have size 1 (the single empty state) so leaf
 /// tables need no special casing.
@@ -39,7 +46,11 @@ class Box {
  public:
   Box() : size_(1) {}
 
-  explicit Box(std::vector<int> bounds) : bounds_(std::move(bounds)) {
+  /// Rejects, with a clear error, a box of more than `max_cells` cells.
+  explicit Box(std::vector<int> bounds,
+               std::uint64_t max_cells = kMaxDenseCells)
+      : bounds_(std::move(bounds)) {
+    static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
     strides_.resize(bounds_.size());
     size_ = 1;
     for (std::size_t d = bounds_.size(); d-- > 0;) {
@@ -47,12 +58,10 @@ class Box {
       strides_[d] = size_;
       const bool overflow = __builtin_mul_overflow(
           size_, static_cast<std::size_t>(bounds_[d]) + 1, &size_);
-      // CompactEntry/Decision index cells with uint32; larger tables would
-      // silently wrap, so reject them with a clear error instead.
-      TREEPLACE_CHECK_MSG(!overflow && size_ <= (std::size_t{1} << 32),
-                          "DP table exceeds 2^32 cells ("
+      TREEPLACE_CHECK_MSG(!overflow && size_ <= max_cells,
+                          "DP table exceeds " << max_cells << " cells ("
                               << bounds_.size() << " dims); instance too "
-                              << "large for 32-bit cell indices");
+                              << "large for its cell indices");
     }
   }
 
@@ -202,11 +211,5 @@ class MergePlanCache {
  private:
   std::unordered_map<std::size_t, MergePlan> plans_;
 };
-
-/// Smallest (left x right) pair count worth sharding across threads; below
-/// it the per-shard table allocations dominate the merge itself.  Applied
-/// per merge-tree slot by the join kernel (core/merge_kernel.h): the small
-/// joins near the leaves run serially, the large ones near the root shard.
-inline constexpr std::size_t kMinShardPairs = 4096;
 
 }  // namespace treeplace::dp

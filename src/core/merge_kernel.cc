@@ -8,7 +8,6 @@
 
 #include "support/check.h"
 #include "support/env.h"
-#include "support/parallel.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define TREEPLACE_KERNEL_X86 1
@@ -544,15 +543,14 @@ RunFn pick_run_fn(bool simd) {
 
 /// The scalar sparse loop over compacted operands — the reference the
 /// whole layer is defined against.
-std::uint64_t sparse_range_scalar(const EntryList& left, std::size_t lo,
-                                  std::size_t hi, const EntryList& right,
-                                  RequestCount cap, RequestCount* flow,
-                                  Decision* dec) {
+std::uint64_t sparse_join_scalar(const EntryList& left,
+                                 const EntryList& right, RequestCount cap,
+                                 RequestCount* flow, Decision* dec) {
   const std::size_t nr = right.size();
   const RequestCount* rflow = right.flow.data();
   const std::uint64_t* rdot = right.dot.data();
   const std::uint32_t* rflat = right.flat.data();
-  for (std::size_t i = lo; i < hi; ++i) {
+  for (std::size_t i = 0; i < left.size(); ++i) {
     const RequestCount lf = left.flow[i];
     const std::uint64_t ldot = left.dot[i];
     const std::uint32_t lflat = left.flat[i];
@@ -566,7 +564,7 @@ std::uint64_t sparse_range_scalar(const EntryList& left, std::size_t lo,
       }
     }
   }
-  return static_cast<std::uint64_t>(hi - lo) * nr;
+  return static_cast<std::uint64_t>(left.size()) * nr;
 }
 
 #if defined(TREEPLACE_KERNEL_X86)
@@ -584,10 +582,9 @@ std::uint64_t sparse_range_scalar(const EntryList& left, std::size_t lo,
 /// different cells and no lane can observe a stale gathered value.
 /// Surviving lanes are committed in ascending j, preserving the scalar
 /// loop's first-occurrence tie-break — results stay bit-identical.
-__attribute__((target("avx2"))) std::uint64_t sparse_range_avx2(
-    const EntryList& left, std::size_t lo, std::size_t hi,
-    const EntryList& right, RequestCount cap, RequestCount* flow,
-    Decision* dec) {
+__attribute__((target("avx2"))) std::uint64_t sparse_join_avx2(
+    const EntryList& left, const EntryList& right, RequestCount cap,
+    RequestCount* flow, Decision* dec) {
   const std::size_t nr = right.size();
   const RequestCount* rflow = right.flow.data();
   const std::uint64_t* rdot = right.dot.data();
@@ -596,7 +593,7 @@ __attribute__((target("avx2"))) std::uint64_t sparse_range_avx2(
       static_cast<long long>(0x8000000000000000ull));
   const __m256i vcap_s =
       _mm256_xor_si256(_mm256_set1_epi64x(static_cast<long long>(cap)), vsign);
-  for (std::size_t i = lo; i < hi; ++i) {
+  for (std::size_t i = 0; i < left.size(); ++i) {
     const RequestCount lf = left.flow[i];
     const std::uint64_t ldot = left.dot[i];
     const std::uint32_t lflat = left.flat[i];
@@ -639,22 +636,21 @@ __attribute__((target("avx2"))) std::uint64_t sparse_range_avx2(
       }
     }
   }
-  return static_cast<std::uint64_t>(hi - lo) * nr;
+  return static_cast<std::uint64_t>(left.size()) * nr;
 }
 
 #endif  // TREEPLACE_KERNEL_X86
 
-using SparseFn = std::uint64_t (*)(const EntryList&, std::size_t, std::size_t,
-                                   const EntryList&, RequestCount,
-                                   RequestCount*, Decision*);
+using SparseFn = std::uint64_t (*)(const EntryList&, const EntryList&,
+                                   RequestCount, RequestCount*, Decision*);
 
 SparseFn pick_sparse_fn(bool simd) {
 #if defined(TREEPLACE_KERNEL_X86)
-  if (simd && __builtin_cpu_supports("avx2")) return &sparse_range_avx2;
+  if (simd && __builtin_cpu_supports("avx2")) return &sparse_join_avx2;
 #else
   (void)simd;
 #endif
-  return &sparse_range_scalar;
+  return &sparse_join_scalar;
 }
 
 // ---------------------------------------------------------------------------
@@ -917,9 +913,8 @@ bool lazy_join(const JoinInputs& in, const LazyJoin& lazy,
 // join_slots
 
 JoinStats join_slots(const JoinInputs& in, std::span<RequestCount> out_flow,
-                     std::span<Decision> out_dec, ThreadPool* pool,
-                     JoinScratch& scratch, const LazyJoin* lazy,
-                     const KernelConfig& cfg) {
+                     std::span<Decision> out_dec, JoinScratch& scratch,
+                     const LazyJoin* lazy, const KernelConfig& cfg) {
   const Box& lbox = *in.lbox;
   const Box& rbox = *in.rbox;
   const Box& obox = *in.obox;
@@ -931,9 +926,7 @@ JoinStats join_slots(const JoinInputs& in, std::span<RequestCount> out_flow,
 
   // Path choice: count the right operand's valid cells (cheap linear scan)
   // and sweep it raw when occupancy is high — compaction then buys nothing
-  // and the row sweep is branchless and contiguous.  The choice depends
-  // only on table contents, never on the pool, so work counters stay
-  // deterministic at any thread count.
+  // and the row sweep is branchless and contiguous.
   std::size_t right_valid = 0;
   for (const RequestCount f : in.rflow) {
     right_valid += static_cast<std::size_t>(f != kInvalidFlow);
@@ -974,111 +967,45 @@ JoinStats join_slots(const JoinInputs& in, std::span<RequestCount> out_flow,
   }
 
   std::fill(out_flow.begin(), out_flow.end(), kInvalidFlow);
-  const std::size_t nl = scratch.left.size();
+  const EntryList& left = scratch.left;
+  if (!dense) {
+    stats.pairs += pick_sparse_fn(cfg.simd)(left, scratch.right, in.cap,
+                                            out_flow.data(), out_dec.data());
+    return stats;
+  }
 
   // Dense geometry: rows are full runs of the right operand's last
   // dimension; each maps to a contiguous run of the output.
-  std::size_t row_len = 1;
-  std::size_t rows = 0;
-  if (dense) {
-    row_len = rbox.dims() == 0
-                  ? rbox.size()
-                  : static_cast<std::size_t>(rbox.bounds().back()) + 1;
-    rows = rbox.size() / row_len;
-    compute_row_dots(rbox, obox, rows, scratch);
-  }
-  const std::uint64_t per_left_work =
-      dense ? static_cast<std::uint64_t>(rbox.size())
-            : static_cast<std::uint64_t>(scratch.right.size());
-
+  const std::size_t row_len =
+      rbox.dims() == 0 ? rbox.size()
+                       : static_cast<std::size_t>(rbox.bounds().back()) + 1;
+  const std::size_t rows = rbox.size() / row_len;
+  compute_row_dots(rbox, obox, rows, scratch);
+  if (scratch.upd.size() < row_len) scratch.upd.resize(row_len);
+  std::uint8_t* const upd = scratch.upd.data();
   const RunFn run = pick_run_fn(cfg.simd);
-  const SparseFn sparse = pick_sparse_fn(cfg.simd);
   const RequestCount* rraw = in.rflow.data();
-  std::uint8_t* upd_base = nullptr;  // shard s's mask: upd_base + s*stride
-  std::size_t upd_stride = 0;
-
-  const auto range = [&](std::size_t lo, std::size_t hi, RequestCount* flow,
-                         Decision* dec, std::size_t shard) -> std::uint64_t {
-    if (!dense) {
-      return sparse(scratch.left, lo, hi, scratch.right, in.cap, flow, dec);
-    }
-    std::uint8_t* upd = upd_base + shard * upd_stride;
-    const EntryList& left = scratch.left;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const RequestCount lf = left.flow[i];
-      const std::uint64_t ldot = left.dot[i];
-      const std::uint32_t lflat = left.flat[i];
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::size_t base = static_cast<std::size_t>(ldot) +
-                                 static_cast<std::size_t>(scratch.row_dot[r]);
-        if (run(rraw + r * row_len, flow + base, upd, row_len, lf, in.cap)) {
-          Decision* dd = dec + base;
-          const std::uint32_t rbase = static_cast<std::uint32_t>(r * row_len);
-          for (std::size_t j = 0; j < row_len; ++j) {
-            if (upd[j] != 0) {
-              dd[j] = Decision{lflat, rbase + static_cast<std::uint32_t>(j),
-                               -1};
-            }
+  for (std::size_t i = 0; i < left.size(); ++i) {
+    const RequestCount lf = left.flow[i];
+    const std::uint64_t ldot = left.dot[i];
+    const std::uint32_t lflat = left.flat[i];
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::size_t base = static_cast<std::size_t>(ldot) +
+                               static_cast<std::size_t>(scratch.row_dot[r]);
+      if (run(rraw + r * row_len, out_flow.data() + base, upd, row_len, lf,
+              in.cap)) {
+        Decision* dd = out_dec.data() + base;
+        const std::uint32_t rbase = static_cast<std::uint32_t>(r * row_len);
+        for (std::size_t j = 0; j < row_len; ++j) {
+          if (upd[j] != 0) {
+            dd[j] = Decision{lflat, rbase + static_cast<std::uint32_t>(j),
+                             -1};
           }
         }
       }
     }
-    return static_cast<std::uint64_t>(hi - lo) * rbox.size();
-  };
-
-  const bool shard = pool != nullptr && nl >= 2 * pool->size() &&
-                     static_cast<std::uint64_t>(nl) * per_left_work >=
-                         kMinShardPairs;
-  const std::size_t num_shards = shard ? pool->size() : 1;
-  if (dense) {
-    // Every row rewrites the masks, so two shards' masks must never share
-    // a cache line: with one small heap block per shard, a 4-thread cold
-    // solve took 0.24 s or 0.40 s depending on where the allocator put
-    // them.
-    constexpr std::size_t kLine = TableArena::kAlignment;
-    upd_stride = (row_len + kLine - 1) / kLine * kLine;
-    if (scratch.shard_upd.size() < num_shards * upd_stride + kLine - 1) {
-      scratch.shard_upd.resize(num_shards * upd_stride + kLine - 1);
-    }
-    std::uint8_t* const raw = scratch.shard_upd.data();
-    const std::size_t skew = reinterpret_cast<std::uintptr_t>(raw) % kLine;
-    upd_base = raw + (kLine - skew) % kLine;
   }
-
-  if (!shard) {
-    stats.pairs += range(0, nl, out_flow.data(), out_dec.data(), 0);
-    return stats;
-  }
-
-  // Shard over the left entries; per-shard tables are reduced back in
-  // left-index order replacing only on strictly smaller flow, which
-  // reproduces the serial first-occurrence tie-break bit for bit.
-  if (scratch.shard_flow.size() < num_shards) {
-    scratch.shard_flow.resize(num_shards);
-    scratch.shard_dec.resize(num_shards);
-  }
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    scratch.shard_flow[s].assign(osize, kInvalidFlow);
-    scratch.shard_dec[s].resize(osize);
-  }
-  const auto pairs_per_shard =
-      parallel_map(*pool, num_shards, [&](std::size_t s) {
-        const std::size_t lo = nl * s / num_shards;
-        const std::size_t hi = nl * (s + 1) / num_shards;
-        return range(lo, hi, scratch.shard_flow[s].data(),
-                     scratch.shard_dec[s].data(), s);
-      });
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    stats.pairs += pairs_per_shard[s];
-    const std::vector<RequestCount>& sf = scratch.shard_flow[s];
-    const std::vector<Decision>& sd = scratch.shard_dec[s];
-    for (std::size_t t = 0; t < osize; ++t) {
-      if (sf[t] < out_flow[t]) {
-        out_flow[t] = sf[t];
-        out_dec[t] = sd[t];
-      }
-    }
-  }
+  stats.pairs += static_cast<std::uint64_t>(left.size()) * rbox.size();
   return stats;
 }
 

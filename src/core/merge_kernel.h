@@ -18,9 +18,7 @@
 //     min-plus kernel (runtime-dispatched AVX2/NEON, `TREEPLACE_SIMD=off`
 //     selects the scalar fallback).  All paths preserve the serial loop's
 //     "first occurrence of the minimal flow" tie-break, so flows *and*
-//     decisions are bit-identical across paths, SIMD settings, and thread
-//     counts (sharded joins reduce in left-index order, replacing only on
-//     strictly smaller flow, which reproduces the serial sweep's winner).
+//     decisions are bit-identical across paths and SIMD settings.
 //   * Lazy joins (LazyJoin): when a warm re-solve dirties one operand of a
 //     root-path slot and the operand's value diff against its snapshot is
 //     small, only output cells reachable from the changed cells are
@@ -36,7 +34,6 @@
 #include <vector>
 
 #include "core/dp_util.h"
-#include "support/thread_pool.h"
 #include "tree/topology.h"
 
 namespace treeplace::dp {
@@ -338,14 +335,12 @@ void compact_entries(const Box& box, std::span<const RequestCount> flow,
 // The join
 
 /// Reusable per-solver scratch: entry lists, dense row offsets, update
-/// masks, shard tables.  Lives as long as the solver so steady-state joins
-/// allocate nothing.
+/// masks.  Lives as long as the solver so steady-state joins allocate
+/// nothing.
 struct JoinScratch {
   EntryList left, right;
   std::vector<std::uint64_t> row_dot;     ///< dense: per-row output offset
-  /// Dense: per-shard lane masks, each on its own cache lines (see
-  /// join_slots).
-  std::vector<std::uint8_t> shard_upd;
+  std::vector<std::uint8_t> upd;          ///< dense: per-row lane mask
   std::vector<std::uint8_t> reach;        ///< lazy: output reachability
   std::vector<std::uint8_t> changed_set_left;   ///< lazy: membership masks
   std::vector<std::uint8_t> changed_set_right;
@@ -354,8 +349,6 @@ struct JoinScratch {
   std::vector<std::size_t> rescue;        ///< lazy: cells needing re-min
   std::vector<int> digits;                ///< lazy: decode scratch
   std::vector<int> ldigits;               ///< lazy: left-entry digit matrix
-  std::vector<std::vector<RequestCount>> shard_flow;
-  std::vector<std::vector<Decision>> shard_dec;
 };
 
 /// Inputs of one slot join out = left (+) right under `cap`.
@@ -389,13 +382,13 @@ struct JoinStats {
 };
 
 /// Joins two tables into out_flow/out_dec (sized to obox->size(); filled
-/// by the kernel, kInvalidFlow where unreachable).  Sharded over `pool`
-/// when profitable; bit-identical to the serial scalar loop for every
-/// config/pool combination.  `lazy`, when given and profitable, splices
-/// unreachable cells from the snapshot instead of recomputing them.
+/// by the kernel, kInvalidFlow where unreachable); bit-identical to the
+/// scalar loop for every config.  `lazy`, when given and profitable,
+/// splices unreachable cells from the snapshot instead of recomputing
+/// them.
 JoinStats join_slots(const JoinInputs& in, std::span<RequestCount> out_flow,
-                     std::span<Decision> out_dec, ThreadPool* pool,
-                     JoinScratch& scratch, const LazyJoin* lazy = nullptr,
+                     std::span<Decision> out_dec, JoinScratch& scratch,
+                     const LazyJoin* lazy = nullptr,
                      const KernelConfig& cfg = kernel_config());
 
 /// Appends the flat indices where two same-size tables differ (ascending).

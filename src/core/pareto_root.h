@@ -135,7 +135,7 @@ void label_dots(const LabelTable& table, const Box& target,
 struct RootCandidate {
   double cost = 0.0;
   double power = 0.0;
-  std::uint32_t flat = 0;      ///< the pair's cell in the root box
+  std::uint64_t flat = 0;      ///< the pair's cell in the root box
   std::int8_t root_mode = -1;  ///< -1: no server at root
   int servers = 0;
   RequestCount flow = 0;   ///< open flow at the root, client mass folded
@@ -168,7 +168,7 @@ std::vector<RootCandidate> pair_root_labels(
       const RequestCount joined = left[a].flow + right[b].flow;
       if (joined > w_max || joined + base > w_max) continue;
       const RequestCount f = joined + base;
-      const std::size_t flat = static_cast<std::size_t>(ldot[a] + rdot[b]);
+      const std::uint64_t flat = ldot[a] + rdot[b];
       root_box.decode(flat, digits);
       const auto add = [&](std::int8_t w) {
         RootCandidate c = price(counts, flat, w);

@@ -105,7 +105,8 @@ class ExactKey {
   /// Prices one root count vector: the candidate's cost, power and
   /// server count (flow and operand cells are filled by the pairing).
   RootCandidate make_candidate(const std::vector<int>& counts,
-                               std::size_t flat, std::int8_t root_mode) const {
+                               std::uint64_t flat,
+                               std::int8_t root_mode) const {
     int servers = 0;
     double cost = 0.0;
     double power = 0.0;
@@ -132,8 +133,7 @@ class ExactKey {
       TREEPLACE_DCHECK(deleted >= 0);
       cost += static_cast<double>(deleted) * costs_.del(o);
     }
-    return RootCandidate{cost, power, static_cast<std::uint32_t>(flat),
-                         root_mode, servers};
+    return RootCandidate{cost, power, flat, root_mode, servers};
   }
 
  private:
@@ -211,7 +211,8 @@ class SymmetricKey {
   }
 
   RootCandidate make_candidate(const std::vector<int>& counts,
-                               std::size_t flat, std::int8_t root_mode) const {
+                               std::uint64_t flat,
+                               std::int8_t root_mode) const {
     int servers = 0;
     double power = 0.0;
     for (int w = 0; w < m_; ++w) {
@@ -229,8 +230,7 @@ class SymmetricKey {
                         static_cast<double>(e_same) * changed_same_ +
                         static_cast<double>(e_changed) * changed_diff_ +
                         static_cast<double>(e_total - reused) * delete_;
-    return RootCandidate{cost, power, static_cast<std::uint32_t>(flat),
-                         root_mode, servers};
+    return RootCandidate{cost, power, flat, root_mode, servers};
   }
 
  private:
@@ -331,7 +331,7 @@ class PowerEngine {
     PowerDPResult result;
     Stopwatch phase;
     dp::DirtyPlan plan = dp::plan_warm_solve(
-        topo_, cache_, dp::capacity_params(modes_, costs_),
+        topo_, cache_, dp::capacity_params(modes_, costs_, dims_),
         [this](NodeId j) { return signature(j); }, deltas_);
     dp::require_root_operands(topo_, cache_, plan);
     phases_.plan = phase.seconds();
@@ -442,7 +442,7 @@ class PowerEngine {
   /// modes.
   void expand_leaf(dp::LabelTable& out, NodeId c) {
     const NodeState& cs = node_state(topo_.internal_index(c));
-    Box box{cs.incl_bounds};
+    Box box = dp::label_box(cs.incl_bounds);
     replica_offset_.assign(static_cast<std::size_t>(m_), 0);
     for (int w = 0; w < m_; ++w) {
       key_.replica_dims(c, w, [&](std::size_t d) {
@@ -454,14 +454,11 @@ class PowerEngine {
     for (std::uint32_t e = 0; e < cs.table.labels.size(); ++e) {
       const RequestCount f = cs.table.labels[e].flow;
       const std::uint64_t t = ldots_[e];
-      pending_.push_back(Label{f, static_cast<std::uint32_t>(t),
-                               Decision{0, e, -1}});
+      pending_.push_back(Label{f, t, Decision{0, e, -1}});
       for (int w = modes_.mode_for_load(f); w < m_; ++w) {
-        pending_.push_back(Label{
-            0,
-            static_cast<std::uint32_t>(
-                t + replica_offset_[static_cast<std::size_t>(w)]),
-            Decision{0, e, static_cast<std::int8_t>(w)}});
+        pending_.push_back(
+            Label{0, t + replica_offset_[static_cast<std::size_t>(w)],
+                  Decision{0, e, static_cast<std::int8_t>(w)}});
       }
     }
     settle(std::move(box), out);
@@ -475,7 +472,7 @@ class PowerEngine {
     for (std::size_t d = 0; d < dims_; ++d) {
       bounds[d] = left.box.bounds()[d] + right.box.bounds()[d];
     }
-    Box box(std::move(bounds));
+    Box box = dp::label_box(std::move(bounds));
     dp::label_dots(left, box, ldots_);
     dp::label_dots(right, box, rdots_);
     const RequestCount cap = modes_.max_capacity();
@@ -485,9 +482,8 @@ class PowerEngine {
         ++merge_pairs_;
         const RequestCount f = left.labels[a].flow + right.labels[b].flow;
         if (f > cap) continue;
-        pending_.push_back(Label{
-            f, static_cast<std::uint32_t>(ldots_[a] + rdots_[b]),
-            Decision{a, b, -1}});
+        pending_.push_back(
+            Label{f, ldots_[a] + rdots_[b], Decision{a, b, -1}});
       }
     }
     settle(std::move(box), out);
@@ -560,7 +556,7 @@ class PowerEngine {
         bounds[d] += t->box.bounds()[d];
       }
     }
-    const Box rbox(std::move(bounds));
+    const Box rbox = dp::label_box(std::move(bounds));
     dp::label_dots(left, rbox, ldots_);
     dp::label_dots(right, rbox, rdots_);
     return dp::pair_root_labels(
@@ -569,7 +565,7 @@ class PowerEngine {
         [&](std::vector<int>& counts, int w) {
           key_.replica_dims(root, w, [&](std::size_t d) { counts[d] += 1; });
         },
-        [this](const std::vector<int>& counts, std::size_t flat,
+        [this](const std::vector<int>& counts, std::uint64_t flat,
                std::int8_t w) { return key_.make_candidate(counts, flat, w); });
   }
 

@@ -1,7 +1,7 @@
 // Oracle-equivalence fuzz for the merge-kernel layer (core/merge_kernel.h).
 //
 // The contract under test: every kernel path — sparse/dense, SIMD on/off,
-// serial or sharded over a pool, lazy or full — produces flows AND
+// lazy or full — produces flows AND
 // decisions bit-identical to the textbook serial double loop with the
 // "first occurrence of the minimal flow" tie-break.  Decision tables are
 // uninitialized at invalid cells by design, so comparisons only cover
@@ -15,7 +15,6 @@
 #include "core/merge_kernel.h"
 #include "support/check.h"
 #include "support/prng.h"
-#include "support/thread_pool.h"
 
 namespace treeplace::dp {
 namespace {
@@ -100,7 +99,6 @@ Box output_box(const Box& lbox, const Box& rbox) {
 }
 
 TEST(MergeKernelTest, AllPathsMatchTheSerialOracle) {
-  ThreadPool pool(4);
   JoinScratch scratch;
   Xoshiro256 rng(0x5eedu);
   const KernelConfig::Path paths[] = {KernelConfig::Path::kAuto,
@@ -125,19 +123,16 @@ TEST(MergeKernelTest, AllPathsMatchTheSerialOracle) {
     std::vector<Decision> dec(obox.size());
     for (const KernelConfig::Path path : paths) {
       for (const bool simd : {false, true}) {
-        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-          KernelConfig cfg;
-          cfg.simd = simd;
-          cfg.path = path;
-          const JoinStats stats =
-              join_slots(in, flow, dec, p, scratch, nullptr, cfg);
-          EXPECT_FALSE(stats.lazy);
-          expect_joins_match(
-              expected, flow, dec,
-              "round " + std::to_string(round) + " path " +
-                  std::to_string(static_cast<int>(path)) + " simd " +
-                  std::to_string(simd) + " pool " + std::to_string(p != nullptr));
-        }
+        KernelConfig cfg;
+        cfg.simd = simd;
+        cfg.path = path;
+        const JoinStats stats =
+            join_slots(in, flow, dec, scratch, nullptr, cfg);
+        EXPECT_FALSE(stats.lazy);
+        expect_joins_match(expected, flow, dec,
+                           "round " + std::to_string(round) + " path " +
+                               std::to_string(static_cast<int>(path)) +
+                               " simd " + std::to_string(simd));
       }
     }
   }
@@ -220,8 +215,7 @@ TEST(MergeKernelTest, LazyJoinMatchesFullRebuild) {
 
     std::vector<RequestCount> flow(obox.size());
     std::vector<Decision> dec(obox.size());
-    const JoinStats stats = join_slots(in, flow, dec, nullptr, scratch,
-                                       &lazy, cfg);
+    const JoinStats stats = join_slots(in, flow, dec, scratch, &lazy, cfg);
     if (stats.lazy) {
       ++lazy_runs;
       if (!changed_left.empty() && !changed_right.empty()) ++both_dirty_runs;

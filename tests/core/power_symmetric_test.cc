@@ -190,6 +190,62 @@ TEST(PowerSymmetricTest, ParetoRootJoinMatchesFullRootScanOnNearTies) {
   EXPECT_GT(tally.oracle_trees, 20);
 }
 
+TEST(PowerSymmetricTest, PowerNearTiesKeepTheUnprunedWitness) {
+  // Linear power (alpha 1) over capacities 4, 7, 10 prices a mode-0 plus
+  // a mode-2 server exactly like two mode-1 servers, and with static
+  // power 0.2 the sums 4.2 + 10.2 and 2 x 7.2 round one ulp apart.  Such
+  // labels share a cost key and tie in power, so pruning on the rounding
+  // would keep whichever rounds lower, while the unpruned DP's comparator
+  // may pick the other once the root's completions are added.  Only the
+  // near-tie margins keep both; a zero tolerance fails this sweep.
+  const std::vector<testing::RootFuzzConfig> configs = {
+      {"power-near-tie", ModeSet({4, 7, 10}, 0.2, 1.0),
+       CostModel::uniform(3, 0.5, 0.25, 0.125, 0.125)},
+      {"power-near-tie-2", ModeSet({3, 6, 9}, 0.7, 1.0),
+       CostModel::uniform(3, 0.1, 0.01, 0.001, 0.001)},
+  };
+  testing::RootFuzzTally tally;
+  std::uint64_t seed = 700;
+  for (const testing::RootFuzzConfig& config : configs) {
+    testing::run_root_fuzz(symmetric_fuzz_engine(config.modes, config.costs),
+                           config, seed++, /*trees=*/24, /*max_nodes=*/20,
+                           /*oracle_nodes=*/8, tally);
+  }
+  EXPECT_GT(tally.oracle_trees, 2);
+}
+
+TEST(PowerSymmetricTest, BoxesBeyond32BitFlatsSolve) {
+  // 200 pre-existing internal nodes and three modes: the root box has
+  // 200^5 cells (three mode dimensions and the same/changed reuse
+  // dimensions), and a label with k mode-0 servers below the root sits at
+  // flat >= k x 200^4 = k x 1.6e9.  Such flats must not wrap, and the
+  // frontier must match the exact key's, whose box stays small here (all
+  // original modes are 0, so only 3 of its 12 dimensions grow).
+  const Tree tree = testing::make_gen_tree(640, 0, 200, 200, 1);
+  ASSERT_EQ(tree.scenario().num_pre_existing(), tree.num_internal());
+  const ModeSet modes({5, 10, 20}, 12.5, 3.0);
+  const CostModel costs = CostModel::uniform(3, 0.1, 0.01, 0.001, 0.001);
+  const PowerDPResult sym = solve_power_symmetric(tree, modes, costs);
+  const PowerDPResult exact = solve_power_exact(tree, modes, costs);
+  ASSERT_TRUE(sym.feasible);
+  ASSERT_EQ(sym.frontier.size(), exact.frontier.size());
+  int most_mode0_below_root = 0;
+  for (std::size_t k = 0; k < sym.frontier.size(); ++k) {
+    EXPECT_NEAR(sym.frontier[k].cost, exact.frontier[k].cost, 1e-9) << k;
+    EXPECT_NEAR(sym.frontier[k].power, exact.frontier[k].power, 1e-9) << k;
+    EXPECT_TRUE(validate(tree, sym.frontier[k].placement, modes).valid) << k;
+    const Placement& placement = sym.frontier[k].placement;
+    int mode0 = 0;
+    for (std::size_t s = 0; s < placement.size(); ++s) {
+      if (placement.nodes()[s] != tree.root() && placement.modes()[s] == 0) {
+        ++mode0;
+      }
+    }
+    most_mode0_below_root = std::max(most_mode0_below_root, mode0);
+  }
+  EXPECT_GE(most_mode0_below_root, 3) << "no flat beyond 2^32 exercised";
+}
+
 TEST(PowerSymmetricTest, CleanRootWithShedSnapshotsIsRebuilt) {
   // The root keeps no folded table, so its root join always reads the
   // operand slots; a budget that shed the root's slot snapshots must make

@@ -18,9 +18,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/preexisting.h"
+#include "core/dp_cache.h"
 #include "gen/tree_gen.h"
 #include "solver/registry.h"
 #include "solver/session.h"
@@ -421,6 +423,129 @@ TEST(SessionSnapshotTest, PowerSymSnapshotCorruptionRejectedCleanly) {
   EXPECT_GT(target.stats().nodes_reused, 0u);
 }
 
+/// Rewrites the CRC trailer of a snapshot after its bytes were edited.
+void fix_crc(std::string& bytes) {
+  const std::uint32_t crc =
+      binio::crc32_update(0, bytes.data(), bytes.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    bytes[bytes.size() - 4 + static_cast<std::size_t>(i)] =
+        static_cast<char>(crc >> (8 * i));
+  }
+}
+
+TEST(SessionSnapshotTest, MalformedPowerTablesRejectedDespiteValidCrc) {
+  // A CRC only proves the bytes arrived as written.  A snapshot whose
+  // label tables no solve could have built — a decision past its operand
+  // list or the child's list, a mode out of range, labels out of flat
+  // order, a flow above W_M, a box or bounds that do not match the tree —
+  // must be rejected whole too, or the next solve would index past the
+  // lists.  Each file here is saved from a tampered cache, so its CRC is
+  // valid.
+  Tree tree = make_chain_star();
+  const ModeSet modes({5, 10}, 12.5, 3.0);
+  const CostModel costs = CostModel::uniform(2, 0.1, 0.01, 0.001, 0.001);
+  const auto solver = make_solver("power-sym");
+  const Instance instance{tree.topology_ptr(), tree.scenario(), modes, costs,
+                          std::nullopt};
+  const Solution cold = solver->solve(instance);
+  const Topology& topo = tree.topology();
+  const std::size_t root = topo.internal_index(tree.root());
+  const std::size_t arm = topo.internal_index(topo.internal_children(
+      tree.root())[0]);  // the root's leaf slot 0 expands this node
+  const std::uint32_t join = static_cast<std::uint32_t>(
+      topo.internal_children(tree.root()).size());  // joins slots 0 and 1
+
+  using Tamper = void (*)(dp::PowerSubtreeCache&, std::size_t root,
+                          std::size_t arm, std::uint32_t join);
+  const std::vector<std::pair<std::string, Tamper>> tampers = {
+      {"leaf mode out of range",
+       [](dp::PowerSubtreeCache& c, std::size_t r, std::size_t, std::uint32_t) {
+         c.state(r).slots[0].labels[0].dec.mode = 2;
+       }},
+      {"leaf decision past the child's list",
+       [](dp::PowerSubtreeCache& c, std::size_t r, std::size_t a,
+          std::uint32_t) {
+         c.state(r).slots[0].labels[0].dec.right =
+             static_cast<std::uint32_t>(c.state(a).table.labels.size());
+       }},
+      {"join decision past its left operand",
+       [](dp::PowerSubtreeCache& c, std::size_t r, std::size_t,
+          std::uint32_t j) {
+         c.state(r).slots[j].labels[0].dec.left =
+             static_cast<std::uint32_t>(c.state(r).slots[0].labels.size());
+       }},
+      {"labels out of flat order",
+       [](dp::PowerSubtreeCache& c, std::size_t r, std::size_t,
+          std::uint32_t j) {
+         auto& labels = c.state(r).slots[j].labels;
+         std::swap(labels[0], labels[1]);
+       }},
+      {"flow above W_M",
+       [](dp::PowerSubtreeCache& c, std::size_t r, std::size_t,
+          std::uint32_t) { c.state(r).slots[0].labels[0].flow = 11; }},
+      {"join box not its operands' sum",
+       [](dp::PowerSubtreeCache& c, std::size_t r, std::size_t,
+          std::uint32_t j) {
+         dp::LabelTable& t = c.state(r).slots[j];
+         std::vector<int> bounds = t.box.bounds();
+         bounds[0] += 1;
+         t.box = dp::label_box(std::move(bounds));
+       }},
+      {"folded label not in its root slot",
+       [](dp::PowerSubtreeCache& c, std::size_t, std::size_t a,
+          std::uint32_t) { c.state(a).table.labels[0].dec.right += 1; }},
+      {"bounds beyond the node's own options",
+       [](dp::PowerSubtreeCache& c, std::size_t, std::size_t a,
+          std::uint32_t) { c.state(a).incl_bounds[0] += 2; }},
+  };
+  for (const auto& [name, tamper] : tampers) {
+    SolveSession session(tree.topology_ptr());
+    solver->solve(SolveRequest{instance, {}, &session});
+    dp::PowerSubtreeCache& cache = session.power_cache("power-sym");
+    ASSERT_GE(cache.state(root).slots[join].labels.size(), 2u);
+    // The untampered file restores; the tampered one must not.
+    SolveSession pristine(tree.topology_ptr());
+    restore_from_bytes(pristine, save_to_bytes(session));
+    tamper(cache, root, arm, join);
+    SolveSession target(tree.topology_ptr());
+    EXPECT_THROW(restore_from_bytes(target, save_to_bytes(session)),
+                 CheckError)
+        << name << " not rejected";
+    expect_identical(solver->solve(SolveRequest{instance, {}, &target}), cold,
+                     "solve after rejecting: " + name);
+  }
+
+  // Byte flips with the CRC rewritten: each file is rejected, or it
+  // restores and the next solve reads only in-bounds entries (its result
+  // may differ — a flipped flow is still a plausible table).  A restore
+  // that passes must never leave a solve reading past a list, which the
+  // sanitizer builds check.
+  SolveSession session(tree.topology_ptr());
+  solver->solve(SolveRequest{instance, {}, &session});
+  const std::string bytes = save_to_bytes(session);
+  int rejected = 0;
+  const std::size_t stride = std::max<std::size_t>(1, bytes.size() / 211);
+  for (std::size_t i = 24; i + 4 < bytes.size(); i += stride) {
+    std::string flipped = bytes;
+    flipped[i] = static_cast<char>(flipped[i] ^ 0x5A);
+    fix_crc(flipped);
+    SolveSession target(tree.topology_ptr());
+    try {
+      restore_from_bytes(target, flipped);
+    } catch (const CheckError&) {
+      ++rejected;
+      continue;
+    }
+    try {
+      solver->solve(SolveRequest{instance, {}, &target});
+    } catch (const CheckError&) {
+      // A debug build's consistency checks may refuse the plausible but
+      // wrong tables; only out-of-bounds reads are ruled out here.
+    }
+  }
+  EXPECT_GT(rejected, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Rejection: bad snapshots throw CheckError and leave no partial state.
 
@@ -526,12 +651,7 @@ TEST(SessionSnapshotTest, PreviousVersionRejectedWholeAndColdStarts) {
     std::string old = save_to_bytes(live);
     ASSERT_GT(old.size(), 16u);
     old[8] = version;  // the u32 version field follows the 8-byte magic
-    const std::uint32_t crc =
-        binio::crc32_update(0, old.data(), old.size() - 4);
-    for (int i = 0; i < 4; ++i) {
-      old[old.size() - 4 + static_cast<std::size_t>(i)] =
-          static_cast<char>(crc >> (8 * i));
-    }
+    fix_crc(old);
 
     SolveSession restored(tree.topology_ptr());
     try {
